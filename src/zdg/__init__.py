@@ -37,6 +37,7 @@ from .graph import (
     c_set,
     classify_special,
     core,
+    delta_witnesses,
     diameter,
     distance,
     emit_dot,

@@ -20,6 +20,7 @@ from importlib import resources
 from typing import Callable, Iterable
 
 from .algebra import CayleyTable, ZERO_NAME, parse_table_csv, same_products, validate
+from .errors import InputError
 from .families import FamilySpec, add_cap, add_edge, add_end, generate_graph, generate_table
 from .graph import (
     LabeledGraph,
@@ -158,16 +159,25 @@ def graph_automorphisms(g: LabeledGraph) -> list[dict[str, str]]:
 
 
 def relabel_table(table: CayleyTable, mapping: dict[str, str]) -> CayleyTable:
-    """Apply a vertex relabeling to a table (zero stays fixed)."""
-    m = {ZERO_NAME: ZERO_NAME}
-    m.update(mapping)
-    inv = {v: k for k, v in m.items()}
-    rows = []
-    for x in table.names:
-        rows.append(
-            [table.names.index(m[table.mul(inv[x], inv[y])]) for y in table.names]
-        )
-    return CayleyTable(table.names, rows)
+    """Carry ``table`` along the renaming ``mapping`` of its nonzero elements.
+
+    Names missing from ``mapping`` keep their name. When the new names are
+    the old ones permuted, the result keeps the source's name order;
+    otherwise element i of the result is the image of element i of the source.
+    """
+    unknown = set(mapping) - set(table.names[1:])
+    if unknown:
+        raise InputError(f"relabeling names no nonzero element: {sorted(unknown)}")
+    new = [mapping.get(x, x) for x in table.names]
+    if len(set(new)) != len(new):
+        raise InputError("relabeling is not injective")
+    if set(new) != set(table.names):
+        return CayleyTable(new, table.rows)
+    src = [new.index(x) for x in table.names]  # preimage of each name
+    image = [table.index(x) for x in new]
+    return CayleyTable(
+        table.names, [[image[table.rows[i][j]] for j in src] for i in src]
+    )
 
 
 class Corpus:
@@ -368,7 +378,7 @@ def criterion_6(corpus: Corpus) -> CriterionResult:
 def criterion_7(corpus: Corpus) -> CriterionResult:
     def run() -> tuple[bool, str]:
         g = generate_graph(FamilySpec("kn2", n=4))
-        res = enumerate_tables(g)  # symmetry defaults off for enumeration
+        res = enumerate_tables(g)
         table6 = corpus.golden.get("kn2_4") or load_golden_table("kn2_4")
         if not res.exhaustive:
             return False, "enumeration did not exhaust the tree"

@@ -19,10 +19,10 @@ from .families import FAMILIES, FamilySpec, add_cap, add_end, generate_graph, ge
 from .graph import (
     classify_special,
     core,
+    delta_witnesses,
     diameter,
     emit_dot,
     emit_graph_text,
-    find_delta_witness,
     is_connected,
     isolated_vertices,
     necessary_conditions,
@@ -69,15 +69,16 @@ def _fmt_set(values) -> str:
     return "{" + ",".join(sorted(values)) + "}"
 
 
-def _add_search_flags(p: argparse.ArgumentParser, with_max: bool = False) -> None:
+def _add_search_flags(p: argparse.ArgumentParser, verb: str) -> None:
     p.add_argument("--budget", type=int, default=None, help="decision-node budget")
-    p.add_argument("--symmetry", choices=("on", "off"), default=None)
-    p.add_argument("--parallel", type=int, default=None, help="worker count")
     p.add_argument("--lemma21", choices=("on", "off"), default=None,
                    help="prune zero from squares with a distance-3 partner")
     p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--explain", action="store_true", help="print the deduction chain")
-    if with_max:
+    if verb == "realize":
+        p.add_argument("--symmetry", choices=("on", "off"), default=None,
+                       help="prune twin-swapped values at the root")
+        p.add_argument("--explain", action="store_true", help="print the deduction chain")
+    else:
         p.add_argument("--max-solutions", type=int, default=None)
 
 
@@ -89,8 +90,6 @@ def _build_config(args) -> SearchConfig:
         kwargs["budget"] = args.budget
     if getattr(args, "symmetry", None) is not None:
         kwargs["symmetry"] = args.symmetry == "on"
-    if getattr(args, "parallel", None) is not None:
-        kwargs["parallel"] = args.parallel
     if getattr(args, "lemma21", None) is not None:
         kwargs["lemma21_pruning"] = args.lemma21 == "on"
     if getattr(args, "max_solutions", None) is not None:
@@ -110,11 +109,11 @@ def _make_parser() -> _Parser:
     p = sub.add_parser("realize", help="find a realizing table or certify none exists")
     p.add_argument("graph")
     p.add_argument("--out-table", default=None, help="write the witness table here")
-    _add_search_flags(p)
+    _add_search_flags(p, "realize")
 
     p = sub.add_parser("enumerate", help="list all realizing tables")
     p.add_argument("graph")
-    _add_search_flags(p, with_max=True)
+    _add_search_flags(p, "enumerate")
 
     p = sub.add_parser("verify", help="validate a table, optionally against a graph")
     p.add_argument("table")
@@ -177,7 +176,7 @@ def _cmd_analyze(args) -> int:
         f"cover={'pass' if nc.cover_ok else 'fail'}",
     )
     if connected:
-        witnesses = find_delta_witness(g, all_witnesses=True)
+        witnesses = delta_witnesses(g)
         print("witness-count:", len(witnesses))
         for w in witnesses[:1]:
             print(f"witness: ({w.a},{w.b},{w.s},{w.z})")

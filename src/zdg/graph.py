@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import CayleyTable, ZERO_NAME, _check_name
 from .errors import InputError
@@ -288,31 +288,29 @@ class DeltaWitness:
     z: str
 
 
-def find_delta_witness(
-    g: LabeledGraph, all_witnesses: bool = False
-) -> DeltaWitness | None | list[DeltaWitness]:
-    """First witness in lexicographic (a, b, s, z) order, or all of them.
+def _iter_delta_witnesses(g: LabeledGraph) -> Iterator[DeltaWitness]:
+    """Witnesses in lexicographic (a, b, s, z) order.
 
     Both orientations of each edge are tried: the roles of a and b are
     asymmetric in everything built on top of the witness.
     """
-    found: list[DeltaWitness] = []
     for a in sorted(g.vertices):
         for b in sorted(g.neighbors(a)):
-            caps = sorted(c_set(g, a, b))
-            if not caps:
-                continue
-            for s in caps:
+            for s in sorted(c_set(g, a, b)):
                 dist = distances_from(g, s)
                 for z in sorted(g.vertices):
                     if dist[z] == 3:
-                        w = DeltaWitness(a, b, s, z)
-                        if not all_witnesses:
-                            return w
-                        found.append(w)
-    if all_witnesses:
-        return found
-    return None
+                        yield DeltaWitness(a, b, s, z)
+
+
+def find_delta_witness(g: LabeledGraph) -> DeltaWitness | None:
+    """The first witness in lexicographic (a, b, s, z) order, or None."""
+    return next(_iter_delta_witnesses(g), None)
+
+
+def delta_witnesses(g: LabeledGraph) -> list[DeltaWitness]:
+    """Every witness, in lexicographic (a, b, s, z) order."""
+    return list(_iter_delta_witnesses(g))
 
 
 @dataclass(frozen=True)
@@ -482,14 +480,8 @@ def _complete_bipartite_sides(g: LabeledGraph) -> tuple[set[str], set[str]] | No
 
 def _fan_center(g: LabeledGraph) -> str | None:
     for c in sorted(g.vertices):
-        if len(g.neighbors(c)) == g.n - 1:
-            rest = [v for v in g.vertices if v != c]
-            sub = LabeledGraph(
-                rest,
-                [(x, y) for x, y in g.edges() if x != c and y != c],
-            )
-            if _is_path(sub):
-                return c
+        if len(g.neighbors(c)) == g.n - 1 and _is_path(_without_vertex(g, c)):
+            return c
     return None
 
 

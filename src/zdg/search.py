@@ -43,14 +43,23 @@ from .graph import (
 UNKNOWN = -1
 
 
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        out.append(bit.bit_length() - 1)
+        mask ^= bit
+    return out
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     budget: int = 10_000_000          # decision nodes
-    symmetry: bool | None = None      # None: on for realize, off for enumerate
-    parallel: int = 1
-    max_solutions: int | None = None
+    symmetry: bool = True             # realize only: root twin pruning
+    max_solutions: int | None = None  # enumerate only
     lemma21_pruning: bool = True
-    explain: bool = False
+    explain: bool = False             # realize only: keep the deduction chain
 
 
 def parse_config_file(text: str) -> dict[str, object]:
@@ -64,7 +73,7 @@ def parse_config_file(text: str) -> dict[str, object]:
         if not sep:
             raise InputError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, value = key.strip(), value.strip()
-        if key in ("budget", "parallel", "max_solutions"):
+        if key in ("budget", "max_solutions"):
             try:
                 out[key] = int(value)
             except ValueError:
@@ -123,9 +132,17 @@ class _LimitReached(Exception):
 class SearchState:
     """Partial table, candidate domains (bitmasks) and the undo trail."""
 
-    def __init__(self, g: LabeledGraph, config: SearchConfig | None = None):
+    def __init__(
+        self,
+        g: LabeledGraph,
+        config: SearchConfig | None = None,
+        symmetry: bool = False,
+        limit: int | None = None,
+    ):
         self.g = g
         self.config = config or SearchConfig()
+        self._symmetry = symmetry
+        self._limit = limit
         self.names = (ZERO_NAME,) + tuple(g.vertices)
         self.n = n = len(self.names)
         self.index = {nm: i for i, nm in enumerate(self.names)}
@@ -171,26 +188,23 @@ class SearchState:
         self.forced = 0
         self.max_depth = 0
         self.solutions: list[CayleyTable] = []
-        self._limit: int | None = None
-        self._symmetry = False
         self._twins: list[tuple[int, int]] | None = None
 
     # --- domain construction ------------------------------------------------
 
-    def _pair_domain(self, i: int, j: int) -> int:
-        need = self.adj[i] | self.adj[j]
+    def _annihilated_by(self, need: int) -> int:
+        """Mask of the nonzero values v with every vertex of ``need`` in N[v]."""
         mask = 0
         for v in range(1, self.n):
             if need & ~self.nbar[v] == 0:
                 mask |= 1 << v
         return mask
 
+    def _pair_domain(self, i: int, j: int) -> int:
+        return self._annihilated_by(self.adj[i] | self.adj[j])
+
     def _square_domain(self, i: int) -> int:
-        need = self.adj[i]
-        mask = 0
-        for v in range(1, self.n):
-            if need & ~self.nbar[v] == 0:
-                mask |= 1 << v
+        mask = self._annihilated_by(self.adj[i])
         if not self.has_d3[i] or not self.config.lemma21_pruning:
             mask |= 1
         return mask
@@ -213,13 +227,7 @@ class SearchState:
         cid = self._cell_of(x, y)
         if self.M[cid] != UNKNOWN:
             return frozenset((self.names[self.M[cid]],))
-        mask = self.domains[cid]
-        out = []
-        while mask:
-            bit = mask & -mask
-            out.append(self.names[bit.bit_length() - 1])
-            mask ^= bit
-        return frozenset(out)
+        return frozenset(self.names[v] for v in _bits(self.domains[cid]))
 
     def assigned_count(self) -> int:
         return sum(1 for cid in self.cells if self.M[cid] != UNKNOWN)
@@ -464,7 +472,9 @@ class SearchState:
         """Drop values interchangeable (by a twin swap) with a smaller one.
 
         Sound only at the root, where every assignment so far is a forced
-        consequence of the symmetric constraint system.
+        consequence of the symmetric constraint system, and only for deciding
+        existence: a dropped value's subtree holds the twin-swapped images of
+        the kept one's tables, which are tables too but are never listed.
         """
         i, j = divmod(cid, self.n)
         cell = {i, j}
@@ -505,13 +515,7 @@ class SearchState:
             return
         if depth > self.max_depth:
             self.max_depth = depth
-        mask = self.domains[cid]
-        values = []
-        mm = mask
-        while mm:
-            bit = mm & -mm
-            values.append(bit.bit_length() - 1)
-            mm ^= bit
+        values = _bits(self.domains[cid])
         if depth == 0 and self._symmetry:
             values = self._root_values(cid, values)
         budget = self.config.budget
@@ -570,8 +574,6 @@ def _check_pre(g: LabeledGraph, config: SearchConfig) -> None:
         raise InputError("realization needs a connected graph")
     if config.budget <= 0:
         raise InputError("budget must be positive")
-    if config.parallel < 1:
-        raise InputError("parallel must be >= 1")
     if config.max_solutions is not None and config.max_solutions < 1:
         raise InputError("max_solutions must be >= 1")
 
@@ -584,9 +586,7 @@ def _run(
     g: LabeledGraph, config: SearchConfig, symmetry: bool, limit: int | None
 ) -> tuple[SearchState, str, float]:
     t0 = time.perf_counter()
-    state = SearchState(g, config)
-    state._symmetry = symmetry
-    state._limit = limit
+    state = SearchState(g, config, symmetry, limit)
     status = "done"
     if state.initialize():
         try:
@@ -612,10 +612,7 @@ def realize(g: LabeledGraph, config: SearchConfig | None = None) -> RealizationO
             SearchStats(0, 0, 0, 0.0),
             reason=f"necessary-conditions:{nc.failed[0]}",
         )
-    symmetry = True if config.symmetry is None else config.symmetry
-    if config.parallel > 1:
-        return _parallel_realize(g, config, symmetry)
-    state, status, seconds = _run(g, config, symmetry, limit=1)
+    state, status, seconds = _run(g, config, config.symmetry, limit=1)
     chain = state.explain_chain() if config.explain else ()
     if state.solutions:
         return RealizationOutcome(
@@ -634,21 +631,19 @@ def realize(g: LabeledGraph, config: SearchConfig | None = None) -> RealizationO
 
 
 def enumerate_tables(
-    g: LabeledGraph,
-    config: SearchConfig | None = None,
-    limit: int | None = None,
+    g: LabeledGraph, config: SearchConfig | None = None
 ) -> EnumerationResult:
-    """All realizations on fixed labels, up to ``limit``, in deterministic order."""
+    """All realizations on fixed labels, up to ``config.max_solutions``.
+
+    The order is deterministic. ``config.symmetry`` is ignored: root twin
+    pruning drops tables whose twin-swapped images are also tables.
+    """
     config = config or SearchConfig()
     _check_pre(g, config)
-    effective_limit = config.max_solutions if config.max_solutions is not None else limit
     nc = necessary_conditions(g)
     if not nc.passed:
         return EnumerationResult((), True, SearchStats(0, 0, 0, 0.0))
-    symmetry = False if config.symmetry is None else config.symmetry
-    if config.parallel > 1:
-        return _parallel_enumerate(g, config, symmetry, effective_limit)
-    state, status, seconds = _run(g, config, symmetry, effective_limit)
+    state, status, seconds = _run(g, config, False, config.max_solutions)
     return EnumerationResult(
         tuple(state.solutions),
         status in ("done", "init-contradiction"),
@@ -656,126 +651,3 @@ def enumerate_tables(
         budget_exceeded=(status == "budget"),
     )
 
-
-# --- parallel mode ----------------------------------------------------------------
-#
-# Parallelism splits the root decision's values into disjoint subtrees, one
-# sequential worker per value, merged back in subtree order. Each worker gets
-# the full node budget; reported nodes are summed over workers.
-
-
-def _subtree_worker(payload):
-    (vertices, edges, cfg_kwargs, root_cell, root_value, limit) = payload
-    g = LabeledGraph(vertices, edges)
-    config = SearchConfig(**cfg_kwargs)
-    state = SearchState(g, config)
-    state._limit = limit
-    status = "done"
-    if state.initialize():
-        cid = state._cell_of(*root_cell)
-        v = state.index[root_value]
-        ok = state._assign(cid, v, ("decision", 0)) and state._drain()
-        if ok:
-            try:
-                state._dfs(1)
-            except _BudgetExceeded:
-                status = "budget"
-            except _LimitReached:
-                status = "limit"
-    tables = [(t.names, t.rows) for t in state.solutions]
-    return (tables, status, state.nodes, state.forced, state.max_depth)
-
-
-def _split_root(
-    g: LabeledGraph, config: SearchConfig, symmetry: bool
-) -> tuple[SearchState, list[tuple[tuple[str, str], str]]]:
-    state = SearchState(g, config)
-    state._symmetry = symmetry
-    if not state.initialize():
-        return state, []
-    cid = state._select()
-    if cid is None:
-        return state, []
-    i, j = divmod(cid, state.n)
-    mask = state.domains[cid]
-    values = []
-    while mask:
-        bit = mask & -mask
-        values.append(bit.bit_length() - 1)
-        mask ^= bit
-    if symmetry:
-        values = state._root_values(cid, values)
-    cell = (state.names[i], state.names[j])
-    return state, [(cell, state.names[v]) for v in values]
-
-
-def _run_parallel(
-    g: LabeledGraph, config: SearchConfig, symmetry: bool, limit: int | None
-) -> tuple[list[CayleyTable], bool, bool, SearchStats]:
-    """Returns (solutions, exhaustive, budget_tripped, stats)."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    t0 = time.perf_counter()
-    _, tasks = _split_root(g, config, symmetry)
-    if not tasks:
-        # dead or fully forced at the root: finish sequentially
-        seq_state, status, seconds = _run(g, config, symmetry, limit)
-        return (
-            list(seq_state.solutions),
-            status in ("done", "init-contradiction"),
-            status == "budget",
-            _stats(seq_state, seconds),
-        )
-    cfg_kwargs = dict(
-        budget=config.budget,
-        symmetry=config.symmetry,
-        parallel=1,
-        max_solutions=None,
-        lemma21_pruning=config.lemma21_pruning,
-        explain=False,
-    )
-    payloads = [
-        (list(g.vertices), list(g.edges()), cfg_kwargs, cell, value, limit)
-        for cell, value in tasks
-    ]
-    with ProcessPoolExecutor(max_workers=config.parallel) as pool:
-        results = list(pool.map(_subtree_worker, payloads))
-    solutions: list[CayleyTable] = []
-    nodes = forced = max_depth = 0
-    tripped = False
-    stopped_early = False
-    for tables, status, wnodes, wforced, wdepth in results:
-        nodes += wnodes
-        forced += wforced
-        max_depth = max(max_depth, wdepth)
-        if status == "budget":
-            tripped = True
-        if status == "limit":
-            stopped_early = True
-        for names, rows in tables:
-            solutions.append(CayleyTable(names, rows))
-    if limit is not None and len(solutions) > limit:
-        solutions = solutions[:limit]
-        stopped_early = True
-    stats = SearchStats(nodes, forced, max_depth, time.perf_counter() - t0)
-    return solutions, not tripped and not stopped_early, tripped, stats
-
-
-def _parallel_realize(
-    g: LabeledGraph, config: SearchConfig, symmetry: bool
-) -> RealizationOutcome:
-    solutions, _, tripped, stats = _run_parallel(g, config, symmetry, limit=1)
-    if solutions:
-        return RealizationOutcome(Outcome.REALIZED, solutions[0], stats)
-    if tripped:
-        return RealizationOutcome(
-            Outcome.BUDGET_EXCEEDED, None, stats, reason="budget exhausted"
-        )
-    return RealizationOutcome(Outcome.UNREALIZABLE, None, stats, reason="exhausted")
-
-
-def _parallel_enumerate(
-    g: LabeledGraph, config: SearchConfig, symmetry: bool, limit: int | None
-) -> EnumerationResult:
-    solutions, exhaustive, tripped, stats = _run_parallel(g, config, symmetry, limit)
-    return EnumerationResult(tuple(solutions), exhaustive, stats, budget_exceeded=tripped)

@@ -20,8 +20,8 @@ from .algebra import (
 from .errors import InputError
 from .graph import (
     DeltaWitness,
+    delta_witnesses,
     distances_from,
-    find_delta_witness,
     is_internal_vertex,
     partition,
     t_set,
@@ -310,7 +310,7 @@ def run_all(table: CayleyTable) -> TheoremReport:
     checks: list[ClaimCheck] = list(check_lemma_2_1(table).checks)
     for b in sorted(g.vertices):
         checks.extend(check_prop_2_2(table, b).checks)
-    witnesses = find_delta_witness(g, all_witnesses=True)
+    witnesses = delta_witnesses(g)
     for w in witnesses:
         checks.extend(check_thm_2_4(table, w).checks)
         checks.extend(check_thm_2_6(table, w).checks)

@@ -12,8 +12,9 @@ parts that hold. See README, "Acceptance suite".
 """
 import pytest
 
-from zdg.acceptance import Corpus, CRITERIA, criterion_5_parts
-from zdg.algebra import CayleyTable, validate
+from zdg.acceptance import Corpus, CRITERIA, criterion_5_parts, relabel_table
+from zdg.algebra import validate
+from zdg.errors import InputError
 from zdg.families import FamilySpec, add_end, generate_graph, generate_table
 from zdg.graph import zero_divisor_graph
 from zdg.search import Outcome, realize
@@ -80,10 +81,29 @@ def test_criterion_05_end_vertex_on_a_as_specified(results):
     # A witness that does not come from the search: the family table of
     # fig5(1,1,1), renamed along the isomorphism a->b, b->a, v1->w1 onto G.
     family = generate_table(FamilySpec("fig5", m=1, n=1, v=1))
-    iso = {"a": "b", "b": "a", "v1": "w1"}
-    relabeled = CayleyTable([iso.get(x, x) for x in family.names], family.rows)
+    relabeled = relabel_table(family, {"a": "b", "b": "a", "v1": "w1"})
     assert validate(relabeled).ok
     assert zero_divisor_graph(relabeled).same_graph(g)
+
+
+def test_relabel_table_partial_and_bad_mappings():
+    family = generate_table(FamilySpec("fig5", m=1, n=1, v=1))
+    # a partial permutation keeps the source's name order
+    sigma = {"a": "b", "b": "a"}
+    swapped = relabel_table(family, sigma)
+    assert swapped.names == family.names
+    for x in family.names:
+        for y in family.names:
+            image = family.mul(x, y)
+            assert swapped.mul(sigma.get(x, x), sigma.get(y, y)) == sigma.get(image, image)
+    assert swapped.rows != family.rows
+    # onto a new name: element i of the result is the image of element i
+    renamed = relabel_table(family, {"v1": "w1"})
+    assert renamed.names == tuple("w1" if x == "v1" else x for x in family.names)
+    assert renamed.rows == family.rows
+    for bad in ({"a": "b"}, {"a": "0"}, {"0": "z"}, {"nowhere": "a"}):
+        with pytest.raises(InputError):
+            relabel_table(family, bad)
 
 
 def test_criterion_06_caps_on_clique(results):

@@ -82,6 +82,29 @@ def test_enumerate_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "enumerate", str(graph_path), "--max-solutions", "2")
     assert code == 0
     assert "solutions: 2" in out and "exhaustive: no" in out
+    # the 4-cycle a-c-b-d-a with an end vertex e on c: twins a, b; 14 tables
+    graph_path.write_text("a b c d e\na c\nc b\nb d\nd a\nc e\n")
+    code, out, _ = run(capsys, "enumerate", str(graph_path))
+    assert code == 0
+    assert "solutions: 14" in out and "exhaustive: yes" in out
+
+
+def test_realize_only_and_removed_flags_rejected(tmp_path, capsys):
+    graph_path = tmp_path / "k2.graph"
+    graph_path.write_text("a b\na b\n")
+    for argv in (
+        ("enumerate", str(graph_path), "--symmetry", "on"),
+        ("enumerate", str(graph_path), "--explain"),
+        ("realize", str(graph_path), "--parallel", "2"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert "error:" in err
+    config_path = tmp_path / "search.cfg"
+    config_path.write_text("parallel=2\n")
+    code, _, err = run(capsys, "realize", str(graph_path), "--config", str(config_path))
+    assert code == 3
+    assert "unknown key 'parallel'" in err
 
 
 def test_analyze_output(tmp_path, capsys):

@@ -12,6 +12,7 @@ from zdg.graph import (
     c_set,
     classify_special,
     core,
+    delta_witnesses,
     diameter,
     distance,
     emit_dot,
@@ -144,7 +145,7 @@ def test_find_delta_witness(fig3_graph, kn2_graph):
     g5 = generate_graph(FamilySpec("fig5", m=1, n=1, v=0))
     w5 = find_delta_witness(g5)
     assert (w5.a, w5.b, w5.s, w5.z) == ("a", "b", "c1", "y1")
-    everything = find_delta_witness(fig3_graph, all_witnesses=True)
+    everything = delta_witnesses(fig3_graph)
     assert w in everything
     assert any(x.a == "b" and x.b == "a" for x in everything)  # both orientations
 

@@ -90,9 +90,9 @@ def test_semigroup_graphs_connected_small_diameter(g):
 
 @given(graphs)
 def test_partitions_of_semigroup_graphs_are_clean(g):
-    from zdg.graph import find_delta_witness, partition
+    from zdg.graph import delta_witnesses, partition
 
-    for w in find_delta_witness(g, all_witnesses=True):
+    for w in delta_witnesses(g):
         part = partition(g, w)
         assert not part.violations
         pieces = (part.ab, part.c_ab, part.b_set, part.l_set)

@@ -1,10 +1,12 @@
+import itertools
+
 import pytest
 
 from zdg.acceptance import brute_force_realizations
 from zdg.algebra import same_products, validate
 from zdg.errors import InputError
 from zdg.families import FamilySpec, add_cap, add_edge, add_end, generate_graph
-from zdg.graph import LabeledGraph, zero_divisor_graph
+from zdg.graph import LabeledGraph, is_connected, zero_divisor_graph
 from zdg.search import (
     Outcome,
     SearchConfig,
@@ -17,6 +19,9 @@ from zdg.search import (
 
 K2 = LabeledGraph(["a", "b"], [("a", "b")])
 K3 = LabeledGraph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+C4_WITH_END = LabeledGraph(
+    list("abcde"), [("a", "c"), ("c", "b"), ("b", "d"), ("d", "a"), ("c", "e")]
+)
 
 
 def fig(family, **kw):
@@ -116,8 +121,6 @@ def test_realize_precondition_errors():
         realize(LabeledGraph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]))
     with pytest.raises(InputError):
         realize(K2, SearchConfig(budget=0))
-    with pytest.raises(InputError):
-        realize(K2, SearchConfig(parallel=0))
 
 
 def test_realize_prescreen_short_circuit():
@@ -159,7 +162,7 @@ def test_enumerate_matches_oracle_on_edge_and_triangle():
 
 
 def test_enumerate_respects_limit():
-    res = enumerate_tables(K3, limit=2)
+    res = enumerate_tables(K3, SearchConfig(max_solutions=2))
     assert len(res.tables) == 2
     assert not res.exhaustive
 
@@ -202,6 +205,49 @@ def test_lemma21_flag_agrees_on_answers():
         assert on.tag == off.tag == expected
 
 
+def test_enumerate_lists_twin_swapped_tables():
+    # a and b are twins in the 4-cycle a-c-b-d-a; root twin pruning would
+    # keep only half of the 14 tables of this graph
+    g = C4_WITH_END
+    on = enumerate_tables(g, SearchConfig(lemma21_pruning=True))
+    off = enumerate_tables(g, SearchConfig(lemma21_pruning=False))
+    assert on.exhaustive and off.exhaustive
+    assert len(on.tables) == 14
+    assert {t.rows for t in on.tables} == {t.rows for t in off.tables}
+    # symmetry is a realize setting; enumeration ignores it
+    pruned = enumerate_tables(g, SearchConfig(symmetry=True))
+    assert [t.rows for t in pruned.tables] == [t.rows for t in on.tables]
+
+
+def _connected_graphs(n):
+    names = "abcde"[:n]
+    pairs = list(itertools.combinations(names, 2))
+    for k in range(n - 1, len(pairs) + 1):
+        for edges in itertools.combinations(pairs, k):
+            g = LabeledGraph(list(names), list(edges))
+            if is_connected(g):
+                yield g
+
+
+def test_pruning_switches_never_change_answers():
+    small = [g for n in range(2, 6) for g in _connected_graphs(n)]
+    assert len(small) == 771  # connected labeled graphs on 2..5 vertices
+    for g in small:
+        tags = {
+            realize(g, SearchConfig(symmetry=s, lemma21_pruning=p)).tag
+            for s in (True, False)
+            for p in (True, False)
+        }
+        assert len(tags) == 1, (g.vertices, list(g.edges()), tags)
+    tiny = [g for g in small if g.n <= 4]
+    assert len(tiny) == 43
+    for g in tiny:
+        on = enumerate_tables(g, SearchConfig(lemma21_pruning=True))
+        off = enumerate_tables(g, SearchConfig(lemma21_pruning=False))
+        assert on.exhaustive and off.exhaustive
+        assert {t.rows for t in on.tables} == {t.rows for t in off.tables}
+
+
 def test_enumerate_lemma21_same_solution_set():
     on = enumerate_tables(K3, SearchConfig(lemma21_pruning=True))
     off = enumerate_tables(K3, SearchConfig(lemma21_pruning=False))
@@ -229,33 +275,15 @@ def test_witness_replay_never_leaves_domains():
             assert st.value_of(x, y) == witness.mul(x, y)
 
 
-# --- parallel mode -------------------------------------------------------------------
-
-
-def test_parallel_enumerate_same_set():
-    seq = enumerate_tables(K3)
-    par = enumerate_tables(K3, SearchConfig(parallel=2))
-    assert {t.rows for t in par.tables} == {t.rows for t in seq.tables}
-    assert par.exhaustive
-
-
-def test_parallel_realize_same_tag(kn2_graph):
-    g = add_cap(kn2_graph, "a", "x1")
-    assert realize(g, SearchConfig(parallel=2)).tag == Outcome.UNREALIZABLE
-    g2 = add_cap(kn2_graph, "x1", "x2")
-    assert realize(g2, SearchConfig(parallel=2)).tag == Outcome.REALIZED
-
-
 # --- config files ----------------------------------------------------------------------
 
 
 def test_parse_config_file():
-    text = "budget = 500\nsymmetry = off\n# comment\nlemma21_pruning=on\nparallel=2\nmax_solutions=7\n"
+    text = "budget = 500\nsymmetry = off\n# comment\nlemma21_pruning=on\nmax_solutions=7\n"
     assert parse_config_file(text) == {
         "budget": 500,
         "symmetry": False,
         "lemma21_pruning": True,
-        "parallel": 2,
         "max_solutions": 7,
     }
     with pytest.raises(InputError):
