@@ -44,6 +44,7 @@ from .graph import (
     emit_graph_text,
     find_delta_witness,
     is_isomorphic,
+    isomorphisms,
     necessary_conditions,
     parse_graph_text,
     partition,

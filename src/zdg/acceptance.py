@@ -25,6 +25,7 @@ from .families import FamilySpec, add_cap, add_edge, add_end, generate_graph, ge
 from .graph import (
     LabeledGraph,
     is_isomorphic,
+    isomorphisms,
     necessary_conditions,
     zero_divisor_graph,
 )
@@ -141,21 +142,8 @@ ORACLE_GRAPHS: dict[str, LabeledGraph] = {
 
 
 def graph_automorphisms(g: LabeledGraph) -> list[dict[str, str]]:
-    """All adjacency-preserving vertex bijections (small graphs only)."""
-    verts = sorted(g.vertices)
-    degs = {v: g.degree(v) for v in verts}
-    edges = set(g.edges())
-    out = []
-    for perm in itertools.permutations(verts):
-        mapping = dict(zip(verts, perm))
-        if any(degs[v] != degs[mapping[v]] for v in verts):
-            continue
-        if all(
-            (tuple(sorted((mapping[x], mapping[y]))) in edges) == (tuple(sorted((x, y))) in edges)
-            for x, y in itertools.combinations(verts, 2)
-        ):
-            out.append(mapping)
-    return out
+    """All adjacency-preserving vertex bijections (16 vertices at most)."""
+    return list(isomorphisms(g, g))
 
 
 def relabel_table(table: CayleyTable, mapping: dict[str, str]) -> CayleyTable:

@@ -82,10 +82,23 @@ def _add_search_flags(p: argparse.ArgumentParser, verb: str) -> None:
         p.add_argument("--max-solutions", type=int, default=None)
 
 
+# Each config-file key and the attribute of the flag that sets it; a verb
+# takes a key only if it defines that flag.
+_CONFIG_FLAGS = {
+    "budget": "budget",
+    "lemma21_pruning": "lemma21",
+    "symmetry": "symmetry",
+    "max_solutions": "max_solutions",
+}
+
+
 def _build_config(args) -> SearchConfig:
     kwargs: dict = {}
     if getattr(args, "config", None):
         kwargs.update(parse_config_file(_read(args.config)))
+        for key in kwargs:
+            if not hasattr(args, _CONFIG_FLAGS[key]):
+                raise InputError(f"config key {key!r} does not apply to {args.verb}")
     if getattr(args, "budget", None) is not None:
         kwargs["budget"] = args.budget
     if getattr(args, "symmetry", None) is not None:

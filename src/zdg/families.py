@@ -12,10 +12,19 @@ Four families are supported:
 * ``kn2``: the complete graph on {a,b,x1,x2,p5..pn} with end vertices
   y1 on x1 and y2 on x2, plus optional caps c1.. over {x1,x2}.
 
-``generate_table`` extends the known finite constructions class-by-class:
-elements of one parametric class share a row pattern, and the table is
-re-validated after generation, so a rule that broke associativity for some
-parameter choice would be caught immediately rather than silently shipped.
+``generate_table`` builds every table from data. Elements of one parametric
+class share a row pattern, so a construction is a *kind* map, which sends
+each element to its class or role, plus a rule table keyed by the sorted pair
+of operand kinds. A rule's result is a fixed name (``0`` included), ``MAX`` or
+``MIN`` (the larger or smaller index of two members of one class), or
+``Operand(k)`` (the operand of kind k). Six rule tables cover the families:
+fig3, fig5, fig4 without end vertices, fig4 with end vertices, kn2, and kn2
+with caps. In fig4 with end vertices the kinds are roles: X is the vertex
+carrying the ends, Y the other of a and b, e the end class; X and Y in a
+result stand for a and b, so ends on a and ends on b share one table. The
+table is re-validated after generation, so a rule that broke associativity
+for some parameter choice would be caught immediately rather than silently
+shipped.
 """
 from __future__ import annotations
 
@@ -145,265 +154,138 @@ def add_edge(g: LabeledGraph, p: str, q: str) -> LabeledGraph:
 
 # --- tables -------------------------------------------------------------------
 
+_0 = ZERO_NAME
 
-def _build_table(names: list[str], prod: Callable[[str, str], str]) -> CayleyTable:
-    full = [ZERO_NAME] + names
-    index = {name: i for i, name in enumerate(full)}
-    rows = []
-    for x in full:
-        row = []
-        for y in full:
-            if x == ZERO_NAME or y == ZERO_NAME:
-                row.append(0)
+
+@dataclass(frozen=True)
+class Operand:
+    """Rule result: whichever operand has this kind."""
+
+    kind: str
+
+
+# Rule results that pick the operand with the larger or smaller index
+# when both operands belong to one class.
+MAX, MIN = max, min
+
+# One rule table per construction, keyed by the sorted pair of operand kinds.
+RULES: dict[str, dict[tuple[str, str], object]] = {
+    "fig3": {
+        ("a", "a"): "a", ("a", "b"): _0, ("a", "d"): _0, ("a", "u"): _0,
+        ("a", "v"): "a", ("a", "x"): _0, ("a", "y"): _0,
+        ("b", "b"): _0, ("b", "d"): _0, ("b", "u"): "b", ("b", "v"): "b",
+        ("b", "x"): "b", ("b", "y"): _0,
+        ("d", "d"): "d", ("d", "u"): "d", ("d", "v"): _0, ("d", "x"): _0,
+        ("d", "y"): "d",
+        ("u", "u"): MAX, ("u", "v"): "x1", ("u", "x"): Operand("x"),
+        ("u", "y"): Operand("y"),
+        ("v", "v"): "v1", ("v", "x"): Operand("x"), ("v", "y"): "b",
+        ("x", "x"): MAX, ("x", "y"): "b", ("y", "y"): "d",
+    },
+    "fig5": {
+        ("a", "a"): "a", ("a", "b"): _0, ("a", "c"): _0, ("a", "v"): "a",
+        ("a", "x"): _0, ("a", "y"): "a",
+        ("b", "b"): _0, ("b", "c"): _0, ("b", "v"): _0, ("b", "x"): _0,
+        ("b", "y"): "b",
+        ("c", "c"): "x1", ("c", "v"): "x1", ("c", "x"): "x1", ("c", "y"): "b",
+        ("v", "v"): "v1", ("v", "x"): "x1", ("v", "y"): "a",
+        ("x", "x"): MIN, ("x", "y"): _0, ("y", "y"): "y1",
+    },
+    # fig3 with the C(a,d) and U classes deleted
+    "fig4": {
+        ("a", "a"): "a", ("a", "b"): _0, ("a", "c"): _0, ("a", "d"): _0,
+        ("a", "w"): "a",
+        ("b", "b"): _0, ("b", "c"): _0, ("b", "d"): _0, ("b", "w"): "b",
+        ("c", "c"): "d", ("c", "d"): "d", ("c", "w"): "b",
+        ("d", "d"): "d", ("d", "w"): _0, ("w", "w"): "w1",
+    },
+    # X is the triangle vertex carrying the end class e, Y the other of a, b
+    "fig4-ends": {
+        ("X", "X"): _0, ("X", "Y"): _0, ("X", "c"): _0, ("X", "d"): _0,
+        ("X", "e"): _0, ("X", "w"): "X",
+        ("Y", "Y"): "X", ("Y", "c"): _0, ("Y", "d"): _0, ("Y", "e"): "X",
+        ("Y", "w"): "Y",
+        ("c", "c"): "d", ("c", "d"): "d", ("c", "e"): "d", ("c", "w"): "X",
+        ("d", "d"): "d", ("d", "e"): "d", ("d", "w"): _0,
+        ("e", "e"): "c1", ("e", "w"): "Y", ("w", "w"): "w1",
+    },
+    # p is any clique vertex other than a, x1 and x2
+    "kn2": {
+        ("a", "a"): "a", ("a", "p"): _0, ("a", "x1"): _0, ("a", "x2"): _0,
+        ("a", "y1"): "a", ("a", "y2"): "a",
+        ("p", "p"): _0, ("p", "x1"): _0, ("p", "x2"): _0, ("p", "y1"): "x2",
+        ("p", "y2"): "x1",
+        ("x1", "x1"): _0, ("x1", "x2"): _0, ("x1", "y1"): _0, ("x1", "y2"): "x1",
+        ("x2", "x2"): _0, ("x2", "y1"): "x2", ("x2", "y2"): _0,
+        ("y1", "y1"): "y1", ("y1", "y2"): "a", ("y2", "y2"): "y2",
+    },
+    # n = 4, so the clique is a, b, x1, x2; c is the cap class over {x1, x2}
+    "kn2-caps": {
+        ("a", "a"): "a", ("a", "b"): _0, ("a", "c"): "a", ("a", "x1"): _0,
+        ("a", "x2"): _0, ("a", "y1"): "a", ("a", "y2"): "a",
+        ("b", "b"): "b", ("b", "c"): "b", ("b", "x1"): _0, ("b", "x2"): _0,
+        ("b", "y1"): "b", ("b", "y2"): "b",
+        ("c", "c"): "c1", ("c", "x1"): _0, ("c", "x2"): _0, ("c", "y1"): "c1",
+        ("c", "y2"): "c1",
+        ("x1", "x1"): "x1", ("x1", "x2"): _0, ("x1", "y1"): _0, ("x1", "y2"): "x1",
+        ("x2", "x2"): "x2", ("x2", "y1"): "x2", ("x2", "y2"): _0,
+        ("y1", "y1"): "y1", ("y1", "y2"): "c1", ("y2", "y2"): "y2",
+    },
+}
+
+
+def _head(name: str) -> str:
+    """The class of an element: "x12" -> "x"; fixed names keep their name."""
+    return name.rstrip("0123456789")
+
+
+def _index(name: str) -> int:
+    return int(name[len(_head(name)) :])
+
+
+def _construction(
+    spec: FamilySpec,
+) -> tuple[dict[tuple[str, str], object], Callable[[str], str], dict[str, str]]:
+    """The rule table, the kind map, and the names the table's roles stand for."""
+    if spec.family == "fig4" and (spec.u > 0 or spec.v > 0):
+        if spec.u > 0 and spec.v > 0:
+            raise InputError(
+                "fig4 with end vertices on both a and b is not a semigroup graph; "
+                "no table exists (need u = 0 or v = 0)"
+            )
+        x, y, ends = ("a", "b", "u") if spec.u > 0 else ("b", "a", "v")
+        kind_of = {x: "X", y: "Y", ends: "e"}
+        return RULES["fig4-ends"], lambda z: kind_of.get(_head(z), _head(z)), {"X": x, "Y": y}
+    if spec.family == "kn2":
+        if spec.caps > 0 and spec.n != 4:
+            raise InputError("kn2 tables with caps are constructed for n = 4 only")
+        own = {"a", "x1", "x2", "y1", "y2"} | ({"b"} if spec.caps > 0 else set())
+        rules = RULES["kn2-caps" if spec.caps > 0 else "kn2"]
+        return rules, lambda z: z if z in own else "c" if _head(z) == "c" else "p", {}
+    return RULES[spec.family], _head, {}
+
+
+def _build_table(spec: FamilySpec) -> CayleyTable:
+    rules, kind, roles = _construction(spec)
+    names = generate_graph(spec).vertices
+    kinds = [kind(z) for z in names]
+    index = {name: i for i, name in enumerate((ZERO_NAME,) + names)}
+    rows = [[0] * (len(names) + 1)]
+    for x, kx in zip(names, kinds):
+        row = [0]
+        for y, ky in zip(names, kinds):
+            rule = rules.get((kx, ky) if kx <= ky else (ky, kx))
+            if rule is None:
+                raise AssertionError(f"{spec.family} rule missing for {x},{y}")
+            if isinstance(rule, Operand):
+                product = x if kx == rule.kind else y
+            elif rule is MAX or rule is MIN:
+                product = rule(x, y, key=_index)
             else:
-                row.append(index[prod(x, y)])
+                product = roles.get(rule, rule)
+            row.append(index[product])
         rows.append(row)
-    return CayleyTable(full, rows)
-
-
-def _class_of(name: str) -> tuple[str, int]:
-    """Split "x12" into ("x", 12); fixed names map to themselves with index 0."""
-    head = name.rstrip("0123456789")
-    tail = name[len(head) :]
-    return (head, int(tail) if tail else 0)
-
-
-def _fig3_product(x: str, y: str) -> str:
-    cx, ix = _class_of(x)
-    cy, iy = _class_of(y)
-    if cx > cy or (cx == cy and ix > iy):
-        cx, ix, cy, iy = cy, iy, cx, ix
-    pair = (cx, cy)
-    if pair == ("a", "a"):
-        return "a"
-    if pair in (("a", "b"), ("a", "d"), ("a", "x"), ("a", "y"), ("a", "u")):
-        return ZERO_NAME
-    if pair == ("a", "v"):
-        return "a"
-    if pair in (("b", "b"), ("b", "d"), ("b", "y")):
-        return ZERO_NAME
-    if pair in (("b", "x"), ("b", "u"), ("b", "v")):
-        return "b"
-    if pair in (("d", "d"), ("d", "y"), ("d", "u")):
-        return "d"
-    if pair in (("d", "x"), ("d", "v")):
-        return ZERO_NAME
-    if pair == ("x", "x"):
-        return f"x{max(ix, iy)}"
-    if pair == ("x", "y"):
-        return "b"
-    if pair in (("u", "x"), ("v", "x")):
-        return f"x{ix if cx == 'x' else iy}"
-    if pair == ("y", "y"):
-        return "d"
-    if pair == ("u", "y"):
-        return f"y{iy if cy == 'y' else ix}"
-    if pair == ("v", "y"):
-        return "b"
-    if pair == ("u", "u"):
-        return f"u{max(ix, iy)}"
-    if pair == ("u", "v"):
-        return "x1"
-    if pair == ("v", "v"):
-        return "v1"
-    raise AssertionError(f"fig3 rule missing for {x},{y}")
-
-
-def _fig5_product(x: str, y: str) -> str:
-    cx, ix = _class_of(x)
-    cy, iy = _class_of(y)
-    if cx > cy or (cx == cy and ix > iy):
-        cx, ix, cy, iy = cy, iy, cx, ix
-    pair = (cx, cy)
-    if pair == ("a", "a"):
-        return "a"
-    if pair in (("a", "b"), ("a", "c"), ("a", "x")):
-        return ZERO_NAME
-    if pair in (("a", "y"), ("a", "v")):
-        return "a"
-    if pair in (("b", "b"), ("b", "c"), ("b", "x"), ("b", "v")):
-        return ZERO_NAME
-    if pair == ("b", "y"):
-        return "b"
-    if pair in (("c", "c"), ("c", "v"), ("c", "x")):
-        return "x1"
-    if pair == ("c", "y"):
-        return "b"
-    if pair == ("v", "v"):
-        return "v1"
-    if pair in (("v", "x"),):
-        return "x1"
-    if pair == ("v", "y"):
-        return "a"
-    if pair == ("x", "x"):
-        return "x2" if ix == iy == 2 else "x1"
-    if pair == ("x", "y"):
-        return ZERO_NAME
-    if pair == ("y", "y"):
-        return "y1"
-    raise AssertionError(f"fig5 rule missing for {x},{y}")
-
-
-def _fig4_table(spec: FamilySpec) -> CayleyTable:
-    if spec.u > 0 and spec.v > 0:
-        raise InputError(
-            "fig4 with end vertices on both a and b is not a semigroup graph; "
-            "no table exists (need u = 0 or v = 0)"
-        )
-    cs = _names("c", spec.caps)
-    ws = _names("w", spec.w)
-    if spec.u == 0 and spec.v == 0:
-        # Caps-and-W only: restriction of the fig3 construction with the
-        # C(a,d) and U rows deleted.
-        names = ["a", "b", "d"] + cs + ws
-
-        def prod(x: str, y: str) -> str:
-            cx, _ = _class_of(x)
-            cy, _ = _class_of(y)
-            if cx > cy:
-                x, y = y, x
-                cx, cy = cy, cx
-            pair = (cx, cy)
-            if pair == ("a", "a"):
-                return "a"
-            if pair in (("a", "b"), ("a", "d"), ("a", "c")):
-                return ZERO_NAME
-            if pair == ("a", "w"):
-                return "a"
-            if pair in (("b", "b"), ("b", "d"), ("b", "c")):
-                return ZERO_NAME
-            if pair == ("b", "w"):
-                return "b"
-            if pair == ("d", "d"):
-                return "d"
-            if pair == ("c", "d"):
-                return "d"
-            if pair == ("d", "w"):
-                return ZERO_NAME
-            if pair == ("c", "c"):
-                return "d"
-            if pair == ("c", "w"):
-                return "b"
-            if pair == ("w", "w"):
-                return "w1"
-            raise AssertionError(f"fig4 rule missing for {x},{y}")
-
-        return _build_table(names, prod)
-
-    # One side carries end vertices: X is that endpoint, Y the other.
-    if spec.u > 0:
-        ends, X, Y = _names("u", spec.u), "a", "b"
-        names = ["a", "b", "d"] + cs + ends + ws
-    else:
-        ends, X, Y = _names("v", spec.v), "b", "a"
-        names = ["a", "b", "d"] + cs + ends + ws
-    end_class = ends[0][0]
-
-    def prod(x: str, y: str) -> str:
-        def kind(z: str) -> str:
-            cz, _ = _class_of(z)
-            if cz == X:
-                return "X"
-            if cz == Y:
-                return "Y"
-            if cz == end_class:
-                return "e"
-            return cz
-
-        kx, ky = kind(x), kind(y)
-        if kx > ky:
-            kx, ky = ky, kx
-        pair = (kx, ky)
-        if pair == ("X", "X"):
-            return ZERO_NAME
-        if pair == ("Y", "Y"):
-            return X
-        if pair in (("X", "Y"), ("X", "d"), ("Y", "d")):
-            return ZERO_NAME
-        if pair in (("X", "c"), ("Y", "c")):
-            return ZERO_NAME
-        if pair == ("c", "d"):
-            return "d"
-        if pair == ("c", "c"):
-            return "d"
-        if pair == ("X", "e"):
-            return ZERO_NAME
-        if pair == ("Y", "e"):
-            return X
-        if pair == ("d", "e"):
-            return "d"
-        if pair == ("c", "e"):
-            return "d"
-        if pair == ("e", "e"):
-            return "c1"
-        if pair == ("X", "w"):
-            return X
-        if pair == ("Y", "w"):
-            return Y
-        if pair == ("d", "w"):
-            return ZERO_NAME
-        if pair == ("c", "w"):
-            return X
-        if pair == ("e", "w"):
-            return Y
-        if pair == ("w", "w"):
-            return "w1"
-        if pair == ("d", "d"):
-            return "d"
-        raise AssertionError(f"fig4 rule missing for {x},{y}")
-
-    return _build_table(names, prod)
-
-
-def _kn2_table(spec: FamilySpec) -> CayleyTable:
-    clique = ["a", "b", "x1", "x2"] + _names("p", spec.n)[4:]
-    if spec.caps == 0:
-        names = clique + ["y1", "y2"]
-        clique_set = set(clique)
-
-        def prod(x: str, y: str) -> str:
-            if x in clique_set and y in clique_set:
-                return "a" if x == y == "a" else ZERO_NAME
-            if x in clique_set or y in clique_set:
-                q, e = (x, y) if x in clique_set else (y, x)
-                if q == "a":
-                    return "a"
-                if q == "x1":
-                    return ZERO_NAME if e == "y1" else "x1"
-                if q == "x2":
-                    return "x2" if e == "y1" else ZERO_NAME
-                return "x2" if e == "y1" else "x1"
-            if x == y:
-                return x
-            return "a"  # y1 * y2
-
-        return _build_table(names, prod)
-
-    if spec.n != 4:
-        raise InputError("kn2 tables with caps are constructed for n = 4 only")
-    cs = _names("c", spec.caps)
-    names = clique + ["y1", "y2"] + cs
-    clique_set = set(clique)
-
-    def prod(x: str, y: str) -> str:
-        in_x, in_y = x in clique_set, y in clique_set
-        if in_x and in_y:
-            return x if x == y else ZERO_NAME
-        if in_x or in_y:
-            q, other = (x, y) if in_x else (y, x)
-            if other[0] == "c":
-                return ZERO_NAME if q in ("x1", "x2") else q
-            # other is y1 or y2
-            if q in ("a", "b"):
-                return q
-            if q == "x1":
-                return ZERO_NAME if other == "y1" else "x1"
-            return "x2" if other == "y1" else ZERO_NAME
-        if x == y and x[0] == "y":
-            return x
-        return "c1"  # y1*y2 and every product touching a cap collapse to c1
-
-    return _build_table(names, prod)
+    return CayleyTable((ZERO_NAME,) + names, rows)
 
 
 def generate_table(spec: FamilySpec) -> CayleyTable:
@@ -414,28 +296,7 @@ def generate_table(spec: FamilySpec) -> CayleyTable:
     labels. For the parameter choices whose tables are known from the
     literature the output reproduces them cell for cell.
     """
-    if spec.family == "fig3":
-        names = (
-            ["a", "b", "d"]
-            + _names("x", spec.n)
-            + _names("y", spec.m)
-            + _names("u", spec.u)
-            + _names("v", spec.v)
-        )
-        table = _build_table(names, _fig3_product)
-    elif spec.family == "fig4":
-        table = _fig4_table(spec)
-    elif spec.family == "fig5":
-        names = (
-            ["a", "b"]
-            + _names("c", spec.m)
-            + ["x1", "x2"]
-            + _names("y", spec.n)
-            + _names("v", spec.v)
-        )
-        table = _build_table(names, _fig5_product)
-    else:
-        table = _kn2_table(spec)
+    table = _build_table(spec)
     report = validate(table)
     if not report.ok:
         raise RuntimeError(

@@ -4,7 +4,7 @@ Everything here is a pure function over immutable :class:`LabeledGraph`
 values: distances, the cycle core, cap sets C(a,b), end-vertex sets T_a,
 the split {a,b} | C(a,b) | B | L induced by a witness, the four
 realizability pre-checks, family recognizers and a small exact isomorphism
-test.
+and automorphism routine.
 """
 from __future__ import annotations
 
@@ -533,16 +533,16 @@ def classify_special(g: LabeledGraph) -> str:
 # --- isomorphism --------------------------------------------------------------
 
 
-def is_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
-    """Exact isomorphism test by backtracking with degree pruning.
+def isomorphisms(g1: LabeledGraph, g2: LabeledGraph) -> Iterator[dict[str, str]]:
+    """Every isomorphism from g1 onto g2, by backtracking with degree pruning.
 
     Meant for the small graphs this package deals in; refuses anything with
-    more than 16 vertices.
+    more than 16 vertices. ``isomorphisms(g, g)`` lists the automorphisms.
     """
     if g1.n > ISO_VERTEX_LIMIT or g2.n > ISO_VERTEX_LIMIT:
-        raise InputError(f"isomorphism test is limited to {ISO_VERTEX_LIMIT} vertices")
+        raise InputError(f"isomorphism search is limited to {ISO_VERTEX_LIMIT} vertices")
     if g1.n != g2.n or len(g1.edges()) != len(g2.edges()):
-        return False
+        return
 
     def signature(g: LabeledGraph, v: str) -> tuple:
         return (g.degree(v), tuple(sorted(g.degree(w) for w in g.neighbors(v))))
@@ -550,7 +550,7 @@ def is_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     sig1 = {v: signature(g1, v) for v in g1.vertices}
     sig2 = {v: signature(g2, v) for v in g2.vertices}
     if sorted(sig1.values()) != sorted(sig2.values()):
-        return False
+        return
     order = sorted(g1.vertices, key=lambda v: (-g1.degree(v), v))
     candidates = {
         v: [w for w in g2.vertices if sig2[w] == sig1[v]] for v in order
@@ -558,28 +558,27 @@ def is_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     mapping: dict[str, str] = {}
     used: set[str] = set()
 
-    def extend(i: int) -> bool:
+    def extend(i: int) -> Iterator[dict[str, str]]:
         if i == len(order):
-            return True
+            yield dict(mapping)
+            return
         v = order[i]
         for w in candidates[v]:
             if w in used:
                 continue
-            ok = True
-            for u in mapping:
-                if g1.has_edge(v, u) != g2.has_edge(w, mapping[u]):
-                    ok = False
-                    break
-            if ok:
+            if all(g1.has_edge(v, u) == g2.has_edge(w, mapping[u]) for u in mapping):
                 mapping[v] = w
                 used.add(w)
-                if extend(i + 1):
-                    return True
+                yield from extend(i + 1)
                 del mapping[v]
                 used.remove(w)
-        return False
 
-    return extend(0)
+    yield from extend(0)
+
+
+def is_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
+    """Exact isomorphism test (16 vertices at most)."""
+    return next(isomorphisms(g1, g2), None) is not None
 
 
 # --- file formats ---------------------------------------------------------

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
 from zdg.acceptance import load_golden_table
 from zdg.families import FamilySpec, generate_graph, generate_table
+from zdg.graph import LabeledGraph, is_connected
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +53,18 @@ def small_table_corpus(table3, table4, table5, table6, table7):
     ):
         corpus.append(generate_table(spec))
     return corpus
+
+
+@pytest.fixture(scope="session")
+def small_connected_graphs():
+    """Every connected labeled graph on the vertices a.. with 2 to 5 vertices."""
+    graphs = []
+    for n in range(2, 6):
+        names = "abcde"[:n]
+        pairs = list(itertools.combinations(names, 2))
+        for k in range(n - 1, len(pairs) + 1):
+            for edges in itertools.combinations(pairs, k):
+                g = LabeledGraph(list(names), list(edges))
+                if is_connected(g):
+                    graphs.append(g)
+    return graphs

@@ -105,6 +105,14 @@ def test_realize_only_and_removed_flags_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "realize", str(graph_path), "--config", str(config_path))
     assert code == 3
     assert "unknown key 'parallel'" in err
+    # a config key whose flag the verb does not define is rejected like the flag
+    c4_path = tmp_path / "c4e.graph"
+    c4_path.write_text("a b c d e\na c\nc b\nb d\nd a\nc e\n")
+    for verb, line in (("realize", "max_solutions=3"), ("enumerate", "symmetry=on")):
+        config_path.write_text(line + "\n")
+        code, _, err = run(capsys, verb, str(c4_path), "--config", str(config_path))
+        assert code == 3, (verb, line)
+        assert f"config key '{line.split('=')[0]}' does not apply to {verb}" in err
 
 
 def test_analyze_output(tmp_path, capsys):

@@ -1,11 +1,15 @@
+import hashlib
 import itertools
 
 import pytest
 
-from zdg.algebra import same_products, validate
+from zdg.acceptance import sweep_specs
+from zdg.algebra import emit_table_csv, same_products, validate
 from zdg.errors import InputError
 from zdg.families import (
+    RULES,
     FamilySpec,
+    _construction,
     add_cap,
     add_edge,
     add_end,
@@ -141,6 +145,38 @@ def test_sweep_grid_validates_and_matches():
         table = generate_table(spec)
         assert validate(table).ok
         assert zero_divisor_graph(table).same_graph(generate_graph(spec))
+        assert table.names[1:] == generate_graph(spec).vertices
+
+
+def test_sweep_tables_pinned():
+    # every cell of all 247 criterion-2 tables, pinned by one digest
+    specs = sweep_specs()
+    assert len(specs) == 247
+    text = "".join(emit_table_csv(generate_table(spec)) for spec in specs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b42a3fa61ce5649f1d91dbcc1fc9004eea476e9c68ffce2085c54c12a41bc8ec"
+    )
+
+
+def test_rule_tables_complete():
+    # one spec per construction with every class present: each rule table
+    # holds exactly the sorted kind pairs its elements produce
+    specs = [
+        FamilySpec("fig3", m=2, n=2, u=2, v=2),
+        FamilySpec("fig5", m=2, n=2, v=2),
+        FamilySpec("fig4", caps=2, w=2),
+        FamilySpec("fig4", caps=2, u=2, w=2),
+        FamilySpec("fig4", caps=2, v=2, w=2),
+        FamilySpec("kn2", n=5),
+        FamilySpec("kn2", n=4, caps=2),
+    ]
+    used = []
+    for spec in specs:
+        rules, kind, _ = _construction(spec)
+        kinds = sorted({kind(z) for z in generate_graph(spec).vertices})
+        assert set(rules) == set(itertools.combinations_with_replacement(kinds, 2)), spec
+        used.append(rules)
+    assert all(any(rules is table for rules in used) for table in RULES.values())
 
 
 def test_class_collapse_coherence():

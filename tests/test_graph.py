@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from zdg.acceptance import graph_automorphisms
 from zdg.algebra import CayleyTable
 from zdg.errors import InputError
 from zdg.families import FamilySpec, add_end, generate_graph
@@ -270,6 +271,31 @@ def test_isomorphism_size_limit():
     big = LabeledGraph([f"v{i}" for i in range(17)], [])
     with pytest.raises(InputError):
         is_isomorphic(big, big)
+    with pytest.raises(InputError):
+        graph_automorphisms(big)
+
+
+def _automorphisms_by_permutation(g):
+    verts = list(g.vertices)
+    out = []
+    for perm in itertools.permutations(verts):
+        m = dict(zip(verts, perm))
+        if all(
+            g.has_edge(m[x], m[y]) == g.has_edge(x, y)
+            for x, y in itertools.combinations(verts, 2)
+        ):
+            out.append(m)
+    return out
+
+
+def test_automorphisms_match_permutation_reference(small_connected_graphs):
+    kn2 = generate_graph(FamilySpec("kn2", n=4))
+    assert len(graph_automorphisms(kn2)) == 4
+    for g in small_connected_graphs + [kn2]:
+        want = _automorphisms_by_permutation(g)
+        got = graph_automorphisms(g)
+        assert len(got) == len(want), (g.vertices, list(g.edges()))
+        assert {frozenset(m.items()) for m in got} == {frozenset(m.items()) for m in want}
 
 
 def test_graph_text_round_trip(fig3_graph):

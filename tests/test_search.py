@@ -1,12 +1,10 @@
-import itertools
-
 import pytest
 
 from zdg.acceptance import brute_force_realizations
 from zdg.algebra import same_products, validate
 from zdg.errors import InputError
 from zdg.families import FamilySpec, add_cap, add_edge, add_end, generate_graph
-from zdg.graph import LabeledGraph, is_connected, zero_divisor_graph
+from zdg.graph import LabeledGraph, zero_divisor_graph
 from zdg.search import (
     Outcome,
     SearchConfig,
@@ -219,18 +217,8 @@ def test_enumerate_lists_twin_swapped_tables():
     assert [t.rows for t in pruned.tables] == [t.rows for t in on.tables]
 
 
-def _connected_graphs(n):
-    names = "abcde"[:n]
-    pairs = list(itertools.combinations(names, 2))
-    for k in range(n - 1, len(pairs) + 1):
-        for edges in itertools.combinations(pairs, k):
-            g = LabeledGraph(list(names), list(edges))
-            if is_connected(g):
-                yield g
-
-
-def test_pruning_switches_never_change_answers():
-    small = [g for n in range(2, 6) for g in _connected_graphs(n)]
+def test_pruning_switches_never_change_answers(small_connected_graphs):
+    small = small_connected_graphs
     assert len(small) == 771  # connected labeled graphs on 2..5 vertices
     for g in small:
         tags = {
