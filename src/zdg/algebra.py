@@ -115,9 +115,6 @@ class CayleyTable:
         except KeyError:
             raise InputError(f"unknown element {name!r}") from None
 
-    def mul_index(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
     def mul(self, x: str, y: str) -> str:
         return self.names[self.rows[self.index(x)][self.index(y)]]
 

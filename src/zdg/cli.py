@@ -285,6 +285,10 @@ def _spec_from_args(args) -> FamilySpec:
 
 
 def _cmd_gen(args) -> int:
+    if args.out_table is not None and not args.with_table:
+        raise InputError("--out-table needs --with-table")
+    if args.at is not None and not (args.family == "kn2" and args.caps):
+        raise InputError("--at needs kn2 with --caps")
     spec = _spec_from_args(args)
     cap_at = None
     if args.at is not None:
@@ -292,7 +296,7 @@ def _cmd_gen(args) -> int:
         if len(parts) != 2:
             raise InputError("--at needs two vertex names, e.g. x1,x2")
         cap_at = (parts[0], parts[1])
-    if args.family == "kn2" and spec.caps and cap_at is not None and set(cap_at) != {"x1", "x2"}:
+    if cap_at is not None and set(cap_at) != {"x1", "x2"}:
         # caps anchored elsewhere: build by surgery on the plain graph
         g = generate_graph(FamilySpec("kn2", n=spec.n))
         for i in range(spec.caps):
@@ -312,8 +316,6 @@ def _cmd_gen(args) -> int:
         _write(args.out_table, emit_table_csv(table))
     else:
         _write(args.out_graph, emit_graph_text(g))
-        if args.out_table is not None:
-            raise InputError("--out-table needs --with-table")
     return EXIT_OK
 
 

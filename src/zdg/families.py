@@ -35,12 +35,18 @@ from .algebra import CayleyTable, ZERO_NAME, validate
 from .errors import InputError
 from .graph import LabeledGraph, zero_divisor_graph
 
-FAMILIES = ("fig3", "fig4", "fig5", "kn2")
+_PARAMETERS = {
+    "fig3": ("m", "n", "u", "v"),
+    "fig4": ("caps", "u", "v", "w"),
+    "fig5": ("m", "n", "v"),
+    "kn2": ("n", "caps"),
+}
+FAMILIES = tuple(_PARAMETERS)
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family id plus its integer parameters (unused ones stay 0)."""
+    """A family id plus its integer parameters (unused ones must stay 0)."""
 
     family: str
     m: int = 0
@@ -57,6 +63,8 @@ class FamilySpec:
             value = getattr(self, field)
             if not isinstance(value, int) or value < 0:
                 raise InputError(f"{self.family}: parameter {field} must be a non-negative integer")
+            if value and field not in _PARAMETERS[self.family]:
+                raise InputError(f"{self.family} does not use parameter {field}")
         if self.family == "fig3" and (self.m < 1 or self.n < 1):
             raise InputError("fig3 requires m >= 1 and n >= 1")
         if self.family == "fig4" and (self.caps < 1 or self.w < 1):

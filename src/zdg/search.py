@@ -229,9 +229,6 @@ class SearchState:
             return frozenset((self.names[self.M[cid]],))
         return frozenset(self.names[v] for v in _bits(self.domains[cid]))
 
-    def assigned_count(self) -> int:
-        return sum(1 for cid in self.cells if self.M[cid] != UNKNOWN)
-
     def explain_chain(self) -> tuple[str, ...]:
         """Human-readable log of the assignments on the current trail."""
         out = []

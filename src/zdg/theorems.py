@@ -5,6 +5,10 @@ internal vertices, squares) rather than trusting the caller, reports
 inapplicable claims as vacuous, and treats a failing applicable claim as a
 hard finding: on a valid table it would mean a bug (or a counterexample to
 the underlying mathematics, which the corpus sweep exists to rule out).
+
+``run_all`` builds the table's zero-divisor graph once and derives all seven
+claims of a witness (Thm 2.4's five, Thm 2.6, Prop 2.8) from one partition;
+each public ``check_*`` builds the graph itself and selects its own claims.
 """
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ from .algebra import (
 from .errors import InputError
 from .graph import (
     DeltaWitness,
+    LabeledGraph,
     delta_witnesses,
     distances_from,
     is_internal_vertex,
@@ -54,248 +59,123 @@ class TheoremReport:
     def failures(self) -> tuple[ClaimCheck, ...]:
         return tuple(c for c in self.checks if c.applicable and c.holds is False)
 
-    def merged(self, other: "TheoremReport") -> "TheoremReport":
-        return TheoremReport(self.checks + other.checks)
-
     def to_text(self) -> str:
         lines = sorted(c.line() for c in self.checks)
         return "\n".join(lines) + "\n" if lines else ""
 
 
-def _subject(w: DeltaWitness) -> str:
-    return f"witness=({w.a},{w.b},{w.s},{w.z})"
+def _holds_unless(claim: str, subject: str, bad: tuple[str, str, str] | None) -> ClaimCheck:
+    """An applicable claim that holds unless ``bad`` is an ``x*y=z`` triple."""
+    detail = "" if bad is None else "{}*{}={}".format(*bad)
+    return ClaimCheck(claim, subject, True, bad is None, detail)
 
 
-def _sq(table: CayleyTable, x: str) -> str:
-    return table.mul(x, x)
+def _vacuous(claim: str, subject: str, why: str) -> ClaimCheck:
+    return ClaimCheck(claim, subject, False, None, why)
 
 
-def check_lemma_2_1(table: CayleyTable) -> TheoremReport:
-    """Vertices with some vertex at distance 3 must have nonzero square."""
-    g = zero_divisor_graph(table)
+def _lemma_2_1(table: CayleyTable, g: LabeledGraph) -> list[ClaimCheck]:
     checks = []
     for x in sorted(g.vertices):
         dist = distances_from(g, x)
         far = sorted(v for v in g.vertices if dist[v] == 3)
-        if not far:
-            continue
-        sq = _sq(table, x)
-        checks.append(
-            ClaimCheck(
-                "lemma_2_1",
-                f"x={x}",
-                True,
-                sq != ZERO_NAME,
-                f"d({x},{far[0]})=3 and {x}*{x}={sq}",
-            )
-        )
-    if not checks:
-        checks.append(ClaimCheck("lemma_2_1", "", False, None, "no pair at distance 3"))
-    return TheoremReport(tuple(checks))
+        if far:
+            sq = table.mul(x, x)
+            detail = f"d({x},{far[0]})=3 and {x}*{x}={sq}"
+            checks.append(ClaimCheck("lemma_2_1", f"x={x}", True, sq != ZERO_NAME, detail))
+    return checks or [_vacuous("lemma_2_1", "", "no pair at distance 3")]
 
 
-def check_prop_2_2(table: CayleyTable, b: str) -> TheoremReport:
-    """(1) b*b != 0 makes T_b + {0} closed; (2) T_b != 0 on a non-end b makes {0,b} an ideal."""
-    g = zero_divisor_graph(table)
+def _prop_2_2(table: CayleyTable, g: LabeledGraph, b: str) -> list[ClaimCheck]:
     if b not in g.vertices:
         raise InputError(f"{b!r} is not a vertex of the zero-divisor graph")
     tb = t_set(g, b)
     subject = f"b={b}"
-    sq = _sq(table, b)
-    checks = []
+    sq = table.mul(b, b)
     if sq != ZERO_NAME and tb:
         bad = closure_violation(table, tb | {ZERO_NAME})
-        checks.append(
-            ClaimCheck(
-                "prop_2_2.1",
-                subject,
-                True,
-                bad is None,
-                "" if bad is None else "{}*{}={}".format(*bad),
-            )
-        )
+        part1 = _holds_unless("prop_2_2.1", subject, bad)
     else:
-        why = f"{b}^2=0" if sq == ZERO_NAME else "T_b empty"
-        checks.append(ClaimCheck("prop_2_2.1", subject, False, None, why))
+        part1 = _vacuous("prop_2_2.1", subject, f"{b}^2=0" if sq == ZERO_NAME else "T_b empty")
     if tb and g.degree(b) > 1:
-        bad = ideal_violation(table, {ZERO_NAME, b})
-        checks.append(
-            ClaimCheck(
-                "prop_2_2.2",
-                subject,
-                True,
-                bad is None,
-                "" if bad is None else "{}*{}={}".format(*bad),
-            )
-        )
+        part2 = _holds_unless("prop_2_2.2", subject, ideal_violation(table, {ZERO_NAME, b}))
     else:
-        why = "T_b empty" if not tb else f"{b} is an end vertex"
-        checks.append(ClaimCheck("prop_2_2.2", subject, False, None, why))
-    return TheoremReport(tuple(checks))
+        part2 = _vacuous("prop_2_2.2", subject, f"{b} is an end vertex" if tb else "T_b empty")
+    return [part1, part2]
+
+
+def _witness_claims(table: CayleyTable, g: LabeledGraph, w: DeltaWitness) -> list[ClaimCheck]:
+    """Thm 2.4's five claims, then Thm 2.6, then Prop 2.8, in that order."""
+    part = partition(g, w)  # validates the witness
+    subject = f"witness=({w.a},{w.b},{w.s},{w.z})"
+    outside_caps = set(table.names) - set(part.c_ab)
+    a_internal = is_internal_vertex(g, w.a)
+    b_internal = is_internal_vertex(g, w.b)
+    b_square = table.mul(w.b, w.b) != ZERO_NAME
+    # Thm 2.4 case 2 and Thm 2.6 share one hypothesis
+    roles = a_internal and not b_internal and b_square
+    roles_why = "needs a internal, b not internal, b^2 != 0"
+    l_names = sorted(part.l_set)
+    l_bad = next(
+        ((u, v, table.mul(u, v)) for u in l_names for v in l_names
+         if table.mul(u, v) not in part.l_set),
+        None,
+    )
+    complement = outside_caps - set(part.t_a) - set(part.t_b)
+    checks = [
+        _holds_unless("thm_2_4.ideal_0ab", subject, ideal_violation(table, {ZERO_NAME, w.a, w.b})),
+        _holds_unless("thm_2_4.ideal_complement", subject, ideal_violation(table, complement)),
+        _holds_unless("thm_2_4.l_closed", subject, l_bad),
+    ]
+    if a_internal and b_internal:
+        bad = ideal_violation(table, outside_caps)
+        checks.append(_holds_unless("thm_2_4.case1_ideal", subject, bad))
+    else:
+        checks.append(_vacuous("thm_2_4.case1_ideal", subject, "a, b not both internal"))
+    if roles:
+        bad = closure_violation(table, outside_caps)
+        checks.append(_holds_unless("thm_2_4.case2_subsemigroup", subject, bad))
+        bad = ideal_violation(table, {ZERO_NAME, w.a}) or ideal_violation(table, {ZERO_NAME, w.b})
+        checks.append(_holds_unless("thm_2_6", subject, bad))
+    else:
+        checks.append(_vacuous("thm_2_4.case2_subsemigroup", subject, roles_why))
+        checks.append(_vacuous("thm_2_6", subject, roles_why))
+    if a_internal and (b_internal or (b_square and len(part.t_b) == 1)):
+        found = next(
+            (c for c in sorted(part.c_ab) if closure_violation(table, outside_caps | {c}) is None),
+            None,
+        )
+        detail = f"c={found}" if found else "no cap works"
+        checks.append(ClaimCheck("prop_2_8", subject, True, found is not None, detail))
+    else:
+        why = "needs both internal, or a internal with b^2 != 0 and |T_b| = 1"
+        checks.append(_vacuous("prop_2_8", subject, why))
+    return checks
+
+
+def check_lemma_2_1(table: CayleyTable) -> TheoremReport:
+    """Vertices with some vertex at distance 3 must have nonzero square."""
+    return TheoremReport(tuple(_lemma_2_1(table, zero_divisor_graph(table))))
+
+
+def check_prop_2_2(table: CayleyTable, b: str) -> TheoremReport:
+    """(1) b*b != 0 makes T_b + {0} closed; (2) T_b != 0 on a non-end b makes {0,b} an ideal."""
+    return TheoremReport(tuple(_prop_2_2(table, zero_divisor_graph(table), b)))
 
 
 def check_thm_2_4(table: CayleyTable, w: DeltaWitness) -> TheoremReport:
     """The ideal/sub-semigroup structure forced by a distance-3 cap witness."""
-    g = zero_divisor_graph(table)
-    part = partition(g, w)  # validates the witness
-    subject = _subject(w)
-    everything = set(table.names)
-    caps = set(part.c_ab)
-    checks = []
-
-    bad = ideal_violation(table, {ZERO_NAME, w.a, w.b})
-    checks.append(
-        ClaimCheck(
-            "thm_2_4.ideal_0ab",
-            subject,
-            True,
-            bad is None,
-            "" if bad is None else "{}*{}={}".format(*bad),
-        )
-    )
-    complement = everything - caps - set(part.t_a) - set(part.t_b)
-    bad = ideal_violation(table, complement)
-    checks.append(
-        ClaimCheck(
-            "thm_2_4.ideal_complement",
-            subject,
-            True,
-            bad is None,
-            "" if bad is None else "{}*{}={}".format(*bad),
-        )
-    )
-    l_ok = True
-    l_detail = ""
-    for u in sorted(part.l_set):
-        for v in sorted(part.l_set):
-            p = table.mul(u, v)
-            if p not in part.l_set:
-                l_ok = False
-                l_detail = f"{u}*{v}={p}"
-                break
-        if not l_ok:
-            break
-    checks.append(ClaimCheck("thm_2_4.l_closed", subject, True, l_ok, l_detail))
-
-    a_internal = is_internal_vertex(g, w.a)
-    b_internal = is_internal_vertex(g, w.b)
-    if a_internal and b_internal:
-        bad = ideal_violation(table, everything - caps)
-        checks.append(
-            ClaimCheck(
-                "thm_2_4.case1_ideal",
-                subject,
-                True,
-                bad is None,
-                "" if bad is None else "{}*{}={}".format(*bad),
-            )
-        )
-    else:
-        checks.append(
-            ClaimCheck(
-                "thm_2_4.case1_ideal", subject, False, None, "a, b not both internal"
-            )
-        )
-    if a_internal and not b_internal and _sq(table, w.b) != ZERO_NAME:
-        bad = closure_violation(table, everything - caps)
-        checks.append(
-            ClaimCheck(
-                "thm_2_4.case2_subsemigroup",
-                subject,
-                True,
-                bad is None,
-                "" if bad is None else "{}*{}={}".format(*bad),
-            )
-        )
-    else:
-        checks.append(
-            ClaimCheck(
-                "thm_2_4.case2_subsemigroup",
-                subject,
-                False,
-                None,
-                "needs a internal, b not internal, b^2 != 0",
-            )
-        )
-    return TheoremReport(tuple(checks))
+    return TheoremReport(tuple(_witness_claims(table, zero_divisor_graph(table), w)[:5]))
 
 
 def check_thm_2_6(table: CayleyTable, w: DeltaWitness) -> TheoremReport:
     """With a internal, b not internal and b*b != 0, both {0,a} and {0,b} are ideals."""
-    g = zero_divisor_graph(table)
-    partition(g, w)
-    subject = _subject(w)
-    applicable = (
-        is_internal_vertex(g, w.a)
-        and not is_internal_vertex(g, w.b)
-        and _sq(table, w.b) != ZERO_NAME
-    )
-    if not applicable:
-        return TheoremReport(
-            (
-                ClaimCheck(
-                    "thm_2_6",
-                    subject,
-                    False,
-                    None,
-                    "needs a internal, b not internal, b^2 != 0",
-                ),
-            )
-        )
-    bad_a = ideal_violation(table, {ZERO_NAME, w.a})
-    bad_b = ideal_violation(table, {ZERO_NAME, w.b})
-    bad = bad_a or bad_b
-    return TheoremReport(
-        (
-            ClaimCheck(
-                "thm_2_6",
-                subject,
-                True,
-                bad is None,
-                "" if bad is None else "{}*{}={}".format(*bad),
-            ),
-        )
-    )
+    return TheoremReport(tuple(_witness_claims(table, zero_divisor_graph(table), w)[5:6]))
 
 
 def check_prop_2_8(table: CayleyTable, w: DeltaWitness) -> TheoremReport:
     """Some cap c makes (everything outside C(a,b)) + {c} a sub-semigroup."""
-    g = zero_divisor_graph(table)
-    part = partition(g, w)
-    subject = _subject(w)
-    a_internal = is_internal_vertex(g, w.a)
-    b_internal = is_internal_vertex(g, w.b)
-    cond1 = a_internal and b_internal
-    cond2 = a_internal and _sq(table, w.b) != ZERO_NAME and len(part.t_b) == 1
-    if not (cond1 or cond2):
-        return TheoremReport(
-            (
-                ClaimCheck(
-                    "prop_2_8",
-                    subject,
-                    False,
-                    None,
-                    "needs both internal, or a internal with b^2 != 0 and |T_b| = 1",
-                ),
-            )
-        )
-    base = set(table.names) - set(part.c_ab)
-    found = None
-    for c in sorted(part.c_ab):
-        if closure_violation(table, base | {c}) is None:
-            found = c
-            break
-    return TheoremReport(
-        (
-            ClaimCheck(
-                "prop_2_8",
-                subject,
-                True,
-                found is not None,
-                f"c={found}" if found else "no cap works",
-            ),
-        )
-    )
+    return TheoremReport(tuple(_witness_claims(table, zero_divisor_graph(table), w)[6:]))
 
 
 def run_all(table: CayleyTable) -> TheoremReport:
@@ -307,15 +187,12 @@ def run_all(table: CayleyTable) -> TheoremReport:
     if not validate(table).ok:
         raise InputError("run_all needs a validated table")
     g = zero_divisor_graph(table)
-    checks: list[ClaimCheck] = list(check_lemma_2_1(table).checks)
+    checks = _lemma_2_1(table, g)
     for b in sorted(g.vertices):
-        checks.extend(check_prop_2_2(table, b).checks)
+        checks += _prop_2_2(table, g, b)
     witnesses = delta_witnesses(g)
     for w in witnesses:
-        checks.extend(check_thm_2_4(table, w).checks)
-        checks.extend(check_thm_2_6(table, w).checks)
-        checks.extend(check_prop_2_8(table, w).checks)
+        checks += _witness_claims(table, g, w)
     if not witnesses:
-        for claim in ("thm_2_4", "thm_2_6", "prop_2_8"):
-            checks.append(ClaimCheck(claim, "", False, None, "no witness"))
+        checks += [_vacuous(c, "", "no witness") for c in ("thm_2_4", "thm_2_6", "prop_2_8")]
     return TheoremReport(tuple(checks))

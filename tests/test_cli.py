@@ -40,6 +40,21 @@ def test_gen_kn2_with_cap_and_end(tmp_path, capsys):
     assert "w1" in out.split("\n")[0]
 
 
+def test_gen_rejects_ignored_flags(tmp_path, capsys):
+    table_path = tmp_path / "t.csv"
+    for argv in (
+        ("gen", "fig5", "--m", "1", "--n", "1", "--out-table", str(table_path)),
+        ("gen", "fig5", "--m", "1", "--n", "1", "--at", "x1,x2"),
+        ("gen", "kn2", "--n", "4", "--at", "x1,x2"),
+        ("gen", "kn2", "--n", "4", "--m", "3"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert out == "", argv
+        assert err.startswith("error: "), argv
+    assert not table_path.exists()
+
+
 def test_realize_unrealizable_exit_code(tmp_path, capsys):
     graph_path = tmp_path / "bad.graph"
     code, out, _ = run(capsys, "gen", "fig4", "--caps", "1", "--u", "1", "--v", "1",

@@ -51,6 +51,14 @@ def test_parameter_bounds():
         dict(family="fig5", m=0, n=1),
         dict(family="kn2", n=3),
         dict(family="nope"),
+        # a nonzero parameter the family does not use
+        dict(family="fig3", m=1, n=1, w=1),
+        dict(family="fig3", m=1, n=1, caps=1),
+        dict(family="fig4", caps=1, w=1, m=1),
+        dict(family="fig5", m=1, n=1, u=1),
+        dict(family="fig5", m=1, n=1, caps=1),
+        dict(family="kn2", n=4, m=3),
+        dict(family="kn2", n=4, v=1),
     ):
         with pytest.raises(InputError):
             FamilySpec(**bad)

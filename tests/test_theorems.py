@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from zdg.acceptance import GOLDEN, load_golden_table, sweep_specs
 from zdg.algebra import CayleyTable
 from zdg.errors import InputError
 from zdg.families import FamilySpec, generate_table
@@ -142,3 +145,24 @@ def test_report_serialization_is_stable(table6):
     assert all(line.startswith("CLAIM ") for line in lines)
     assert any("vacuous" in line for line in lines)
     assert any(" holds" in line for line in lines)
+
+
+def test_failing_claim_reported():
+    # x1*y2 = a pushes a product out of the ideal {0, x1}
+    table = load_golden_table("kn2_4").with_cell("x1", "y2", "a")
+    part2 = _by_claim(check_prop_2_2(table, "x1"), "prop_2_2.2")[0]
+    assert part2.applicable and part2.holds is False
+    assert part2.line() == "CLAIM prop_2_2.2[b=x1] applicable fails x1*y2=a"
+
+
+def test_theorem_output_pinned():
+    # every claim line of run_all on the 5 golden and 247 sweep tables, in
+    # order, pinned by one digest
+    tables = [load_golden_table(name) for name in GOLDEN]
+    tables += [generate_table(spec) for spec in sweep_specs()]
+    text = "".join(
+        "\n".join(c.line() for c in run_all(t).checks) + "\n\n" for t in tables
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e3ba194149fef8183c7b0d765c892e8ade76098ae7897d0333acbbc82fdf27e1"
+    )
