@@ -22,7 +22,7 @@ ISO_VERTEX_LIMIT = 16
 class LabeledGraph:
     """Simple undirected graph with named vertices (never named "0")."""
 
-    __slots__ = ("vertices", "_adj", "_index")
+    __slots__ = ("vertices", "_adj", "_index", "_masks")
 
     def __init__(
         self, vertices: Sequence[str], edges: Iterable[tuple[str, str]] = ()
@@ -47,6 +47,7 @@ class LabeledGraph:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "_adj", {v: frozenset(nb) for v, nb in adj.items()})
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(vertices)})
+        object.__setattr__(self, "_masks", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LabeledGraph is immutable")
@@ -132,25 +133,70 @@ def isolated_vertices(g: LabeledGraph) -> set[str]:
 
 
 # --- distances -------------------------------------------------------------
+#
+# Every traversal runs on neighbourhood bitmasks: bit j of adj[i] is set iff
+# the i-th and j-th vertices of ``g.vertices`` are adjacent.
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        out.append(bit.bit_length() - 1)
+        mask ^= bit
+    return out
+
+
+def _adjacency(g: LabeledGraph) -> tuple[int, ...]:
+    """The neighbourhood bitmasks of ``g``, built on first use and kept."""
+    if g._masks is None:
+        index = g._index
+        masks = tuple(sum(1 << index[w] for w in g._adj[v]) for v in g.vertices)
+        object.__setattr__(g, "_masks", masks)
+    return g._masks
+
+
+def _layers(adj: Sequence[int], source: int) -> list[int]:
+    """Breadth-first layers from ``source``: layer d is the mask at distance d.
+
+    The layers are disjoint, so their sum is the mask of the reachable vertices.
+    """
+    seen = frontier = 1 << source
+    layers = []
+    while frontier:
+        layers.append(frontier)
+        reach = 0
+        for v in _bits(frontier):
+            reach |= adj[v]
+        frontier = reach & ~seen
+        seen |= frontier
+    return layers
+
+
+def _covering(adj: Sequence[int], need: int) -> int:
+    """Mask of the vertices v with every vertex of ``need`` in N[v].
+
+    This is the neighbourhood cut shared by the cover pre-check and the
+    search's initial domains: a nonzero product that every vertex of
+    ``need`` annihilates is one of these vertices.
+    """
+    mask = 0
+    for v, nb in enumerate(adj):
+        if need & ~(nb | 1 << v) == 0:
+            mask |= 1 << v
+    return mask
 
 
 def distances_from(g: LabeledGraph, source: str) -> dict[str, float]:
     """BFS distances from ``source``; unreachable vertices get math.inf."""
     g.check_vertex(source)
-    dist: dict[str, float] = {v: math.inf for v in g.vertices}
-    dist[source] = 0
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for w in g.neighbors(v):
-                if dist[w] == math.inf:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
+    dist: dict[str, float] = dict.fromkeys(g.vertices, math.inf)
+    for d, layer in enumerate(_layers(_adjacency(g), g._index[source])):
+        for v in _bits(layer):
+            dist[g.vertices[v]] = d
     return dist
+
 
 def distance(g: LabeledGraph, x: str, y: str) -> float:
     g.check_vertex(y)
@@ -159,17 +205,18 @@ def distance(g: LabeledGraph, x: str, y: str) -> float:
 
 def diameter(g: LabeledGraph) -> float:
     """Largest pairwise distance; 0 for graphs with at most one vertex."""
-    best: float = 0
-    for v in g.vertices:
-        dv = max(distances_from(g, v).values(), default=0)
-        best = max(best, dv)
+    adj = _adjacency(g)
+    best = 0
+    for v in range(g.n):
+        layers = _layers(adj, v)
+        if sum(layers) != (1 << g.n) - 1:
+            return math.inf
+        best = max(best, len(layers) - 1)
     return best
 
 
 def is_connected(g: LabeledGraph) -> bool:
-    if g.n <= 1:
-        return True
-    return all(d < math.inf for d in distances_from(g, g.vertices[0]).values())
+    return g.n <= 1 or sum(_layers(_adjacency(g), 0)) == (1 << g.n) - 1
 
 
 # --- core (union of the cycles) --------------------------------------------
@@ -184,52 +231,11 @@ class CoreDecomposition:
     pendants_are_ends_on_core: bool
 
 
-def _bridges(g: LabeledGraph) -> set[tuple[str, str]]:
-    """Bridge edges via one iterative depth-first pass (low-link)."""
-    disc: dict[str, int] = {}
-    low: dict[str, int] = {}
-    parent: dict[str, str | None] = {}
-    bridges: set[tuple[str, str]] = set()
-    counter = 0
-    for root in g.vertices:
-        if root in disc:
-            continue
-        parent[root] = None
-        stack: list[tuple[str, Iterable[str]]] = [(root, iter(sorted(g.neighbors(root))))]
-        disc[root] = low[root] = counter
-        counter += 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w not in disc:
-                    parent[w] = v
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, iter(sorted(g.neighbors(w)))))
-                    advanced = True
-                    break
-                elif w != parent[v]:
-                    low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                p = parent[v]
-                if p is not None:
-                    low[p] = min(low[p], low[v])
-                    if low[v] > disc[p]:
-                        bridges.add(tuple(sorted((p, v))))
-    return bridges
-
-
-def _edge_on_triangle_or_square(g: LabeledGraph, x: str, y: str) -> bool:
-    nx, ny = g.neighbors(x), g.neighbors(y)
-    if nx & ny:
-        return True  # triangle
-    for w in nx - {y}:
-        for z in ny - {x}:
-            if w != z and g.has_edge(w, z):
-                return True  # square x-y-z-w-x
-    return False
+def _on_triangle_or_square(adj: Sequence[int], x: int, y: int) -> bool:
+    """Whether the edge x-y lies on a 3-cycle or on a 4-cycle x-y-z-w-x."""
+    return bool(adj[x] & adj[y]) or any(
+        adj[w] & adj[y] & ~(1 << x) for w in _bits(adj[x] & ~(1 << y))
+    )
 
 
 def core(g: LabeledGraph) -> CoreDecomposition:
@@ -237,22 +243,35 @@ def core(g: LabeledGraph) -> CoreDecomposition:
 
     Also reports whether every core edge lies on a 3- or 4-cycle and whether
     every pendant vertex is an end vertex hanging off the core - the shape
-    every zero-divisor graph with a cycle must have.
+    every zero-divisor graph with a cycle must have. An edge on no short
+    cycle is a core edge iff its ends stay connected without it.
     """
     if not is_connected(g):
         raise InputError("core() requires a connected graph")
-    bridges = _bridges(g)
-    core_edges = frozenset(e for e in g.edges() if e not in bridges)
+    adj = _adjacency(g)
+    index = g._index
+    core_edges = set()
+    on_cycles = True
+    for x, y in g.edges():
+        i, j = index[x], index[y]
+        if _on_triangle_or_square(adj, i, j):
+            core_edges.add((x, y))
+            continue
+        cut = list(adj)
+        cut[i] &= ~(1 << j)
+        cut[j] &= ~(1 << i)
+        if sum(_layers(cut, i)) >> j & 1:
+            core_edges.add((x, y))
+            on_cycles = False
     core_vertices = frozenset(v for e in core_edges for v in e)
     pendants = frozenset(v for v in g.vertices if v not in core_vertices)
-    on_cycles = all(_edge_on_triangle_or_square(g, x, y) for x, y in core_edges)
-    pendants_ok = bool(core_edges) and all(
+    pendants_ok = not core_edges or all(  # no cycle: nothing to hang off
         g.degree(v) == 1 and next(iter(g.neighbors(v))) in core_vertices
         for v in pendants
     )
-    if not core_edges:
-        pendants_ok = True  # no cycle: nothing to hang off
-    return CoreDecomposition(core_edges, core_vertices, pendants, on_cycles, pendants_ok)
+    return CoreDecomposition(
+        frozenset(core_edges), core_vertices, pendants, on_cycles, pendants_ok
+    )
 
 
 # --- caps, end sets, the condition-(triangle) witness ----------------------
@@ -419,6 +438,17 @@ class NecessaryConditionsReport:
 
 
 def necessary_conditions(g: LabeledGraph) -> NecessaryConditionsReport:
+    """Run the four pre-checks; ``detail`` names a failed cover, else core, check.
+
+    The cover check asks, for each non-adjacent pair x, y, for a vertex z
+    with N(x) | N(y) <= N[z]: the product x*y is nonzero and every neighbor
+    of x or y annihilates it. It is the search's empty pair-domain cut.
+
+    On a connected graph a diameter failure implies a cover failure. Take
+    d(x,y) = 4 along x-a-m-b-y. A vertex z with N(x) | N(b) <= N[z] must be
+    y or a neighbor of y, and must also be a or a neighbor of a. Either way
+    d(x,y) <= 3, a contradiction.
+    """
     connected = is_connected(g)
     diam_ok = connected and diameter(g) <= 3
     detail = ""
@@ -431,11 +461,12 @@ def necessary_conditions(g: LabeledGraph) -> NecessaryConditionsReport:
         core_ok = False
         detail = "graph is disconnected"
     cover_ok = True
+    adj = _adjacency(g)
     for x, y in combinations(sorted(g.vertices), 2):
-        if g.has_edge(x, y):
+        i, j = g._index[x], g._index[y]
+        if adj[i] >> j & 1:
             continue
-        need = g.neighbors(x) | g.neighbors(y)
-        if not any(need <= g.closed_neighborhood(z) for z in g.vertices):
+        if not _covering(adj, adj[i] | adj[j]):
             cover_ok = False
             detail = f"no vertex dominates N({x}) | N({y})"
             break
@@ -456,26 +487,15 @@ def _is_path(g: LabeledGraph) -> bool:
 
 
 def _complete_bipartite_sides(g: LabeledGraph) -> tuple[set[str], set[str]] | None:
+    """The two sides, read off the parity of the BFS layers, or None."""
     if g.n < 2 or not is_connected(g):
         return None
-    color: dict[str, int] = {g.vertices[0]: 0}
-    frontier = [g.vertices[0]]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in g.neighbors(v):
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    nxt.append(w)
-                elif color[w] == color[v]:
-                    return None
-        frontier = nxt
-    left = {v for v in g.vertices if color[v] == 0}
-    right = set(g.vertices) - left
-    for x in left:
-        if g.neighbors(x) != frozenset(right):
-            return None
-    return (left, right)
+    adj = _adjacency(g)
+    layers = _layers(adj, 0)
+    even, odd = sum(layers[0::2]), sum(layers[1::2])
+    if any(adj[v] != odd for v in _bits(even)) or any(adj[v] != even for v in _bits(odd)):
+        return None
+    return {g.vertices[v] for v in _bits(even)}, {g.vertices[v] for v in _bits(odd)}
 
 
 def _fan_center(g: LabeledGraph) -> str | None:

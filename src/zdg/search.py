@@ -34,23 +34,16 @@ from .algebra import CayleyTable, ZERO_NAME, validate
 from .errors import InputError
 from .graph import (
     LabeledGraph,
-    distances_from,
+    _adjacency,
+    _bits,
+    _covering,
+    _layers,
     is_connected,
     necessary_conditions,
     zero_divisor_graph,
 )
 
 UNKNOWN = -1
-
-
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits of ``mask``, lowest first."""
-    out = []
-    while mask:
-        bit = mask & -mask
-        out.append(bit.bit_length() - 1)
-        mask ^= bit
-    return out
 
 
 @dataclass(frozen=True)
@@ -146,17 +139,10 @@ class SearchState:
         self.names = (ZERO_NAME,) + tuple(g.vertices)
         self.n = n = len(self.names)
         self.index = {nm: i for i, nm in enumerate(self.names)}
-        adj = [0] * n
-        for x, y in g.edges():
-            i, j = self.index[x], self.index[y]
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        self.adj = adj
-        self.nbar = [adj[i] | (1 << i) for i in range(n)]
-        self.has_d3 = [False] * n
-        for v in g.vertices:
-            dv = distances_from(g, v)
-            self.has_d3[self.index[v]] = any(d == 3 for d in dv.values())
+        # element i is vertex i - 1 of g: the zero element takes bit 0
+        graph_adj = _adjacency(g)
+        self.adj = adj = [0] + [nb << 1 for nb in graph_adj]
+        self.has_d3 = [False] + [len(_layers(graph_adj, v)) > 3 for v in range(g.n)]
         M = [UNKNOWN] * (n * n)
         for j in range(n):
             M[j] = 0
@@ -192,19 +178,11 @@ class SearchState:
 
     # --- domain construction ------------------------------------------------
 
-    def _annihilated_by(self, need: int) -> int:
-        """Mask of the nonzero values v with every vertex of ``need`` in N[v]."""
-        mask = 0
-        for v in range(1, self.n):
-            if need & ~self.nbar[v] == 0:
-                mask |= 1 << v
-        return mask
-
     def _pair_domain(self, i: int, j: int) -> int:
-        return self._annihilated_by(self.adj[i] | self.adj[j])
+        return _covering(_adjacency(self.g), (self.adj[i] | self.adj[j]) >> 1) << 1
 
     def _square_domain(self, i: int) -> int:
-        mask = self._annihilated_by(self.adj[i])
+        mask = _covering(_adjacency(self.g), self.adj[i] >> 1) << 1
         if not self.has_d3[i] or not self.config.lemma21_pruning:
             mask |= 1
         return mask
@@ -452,17 +430,13 @@ class SearchState:
 
     def _twin_transpositions(self) -> list[tuple[int, int]]:
         if self._twins is None:
-            twins = []
-            g = self.g
-            verts = list(g.vertices)
-            for ai in range(len(verts)):
-                for bi in range(ai + 1, len(verts)):
-                    x, y = verts[ai], verts[bi]
-                    if g.neighbors(x) - {y} == g.neighbors(y) - {x}:
-                        twins.append(
-                            tuple(sorted((self.index[x], self.index[y])))
-                        )
-            self._twins = twins
+            adj = self.adj
+            self._twins = [
+                (s, t)
+                for s in range(1, self.n)
+                for t in range(s + 1, self.n)
+                if adj[s] & ~(1 << t) == adj[t] & ~(1 << s)
+            ]
         return self._twins
 
     def _root_values(self, cid: int, values: list[int]) -> list[int]:

@@ -1,10 +1,13 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
 from zdg.acceptance import load_golden_table
 from zdg.families import FamilySpec, generate_graph, generate_table
 from zdg.graph import LabeledGraph, is_connected
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.fixture(scope="session")
@@ -67,4 +70,23 @@ def small_connected_graphs():
                 g = LabeledGraph(list(names), list(edges))
                 if is_connected(g):
                     graphs.append(g)
+    return graphs
+
+
+@pytest.fixture(scope="session")
+def census_graphs():
+    """The connected graphs on 6 and 7 vertices pinned in bench/data/graphs.txt.
+
+    One graph per isomorphism class (112 + 853), on the vertices v1..vn.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH))
+        import workloads
+
+        by_n = workloads.load_graphs()
+    graphs = []
+    for n in (6, 7):
+        names = [f"v{i + 1}" for i in range(n)]
+        for _, edges, _ in by_n[n]:
+            graphs.append(LabeledGraph(names, [(names[i], names[j]) for i, j in edges]))
     return graphs

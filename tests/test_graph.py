@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import itertools
 import math
 import random
@@ -16,10 +18,12 @@ from zdg.graph import (
     delta_witnesses,
     diameter,
     distance,
+    distances_from,
     emit_dot,
     emit_graph_text,
     find_delta_witness,
     is_isomorphic,
+    is_connected,
     isolated_vertices,
     necessary_conditions,
     parse_graph_text,
@@ -27,6 +31,7 @@ from zdg.graph import (
     t_set,
     zero_divisor_graph,
 )
+from zdg.search import SearchState
 
 
 def _edge_on_cycle_brute(g, x, y):
@@ -43,6 +48,30 @@ def _edge_on_cycle_brute(g, x, y):
                 seen.add(w)
                 stack.append(w)
     return y in seen
+
+
+def _path(k):
+    names = [f"p{i}" for i in range(k)]
+    return LabeledGraph(names, list(zip(names, names[1:])))
+
+
+def _cycle(k):
+    names = [f"c{i}" for i in range(k)]
+    return LabeledGraph(names, list(zip(names, names[1:])) + [(names[-1], names[0])])
+
+
+def _ladder(k):
+    return generate_graph(FamilySpec("fig3", m=k, n=k, u=k, v=k))
+
+
+TWO_TRIANGLES_BRIDGED = LabeledGraph(
+    list("abcdef"),
+    [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f"), ("d", "f"), ("c", "d")],
+)
+TRIANGLE_WITH_TAIL = LabeledGraph(
+    ["a", "b", "c", "p1", "p2"],
+    [("a", "b"), ("b", "c"), ("a", "c"), ("c", "p1"), ("p1", "p2")],
+)
 
 
 def _triangles_through(g, x, y):
@@ -118,6 +147,63 @@ def test_core_with_square_and_pendant():
     assert dec.pendants_are_ends_on_core
     for x, y in g.edges():
         assert ((x, y) in dec.core_edges) == _edge_on_cycle_brute(g, x, y)
+
+
+def test_core_edges_match_cycle_reference(small_connected_graphs):
+    # an edge is a core edge iff its endpoints stay connected without it
+    graphs = list(small_connected_graphs) + [TWO_TRIANGLES_BRIDGED, TRIANGLE_WITH_TAIL, _ladder(3)]
+    graphs += [_path(k) for k in range(2, 13)] + [_cycle(k) for k in range(3, 13)]
+    for g in graphs:
+        dec = core(g)
+        for e in g.edges():
+            assert (e in dec.core_edges) == _edge_on_cycle_brute(g, *e), (g.vertices, e)
+    bridged = core(TWO_TRIANGLES_BRIDGED)
+    assert ("c", "d") not in bridged.core_edges
+    assert bridged.core_vertices == frozenset("abcdef")
+
+
+def test_small_connected_graphs_fixture_size(small_connected_graphs):
+    # OEIS A001187: connected labeled graphs on 2, 3, 4 and 5 vertices
+    sizes = collections.Counter(g.n for g in small_connected_graphs)
+    assert sizes == {2: 1, 3: 4, 4: 38, 5: 728}
+
+
+def _analysis_lines(g):
+    """Every graph analysis of ``g`` as text, with every set sorted."""
+    out = [repr((g.vertices, g.edges())), f"connected {is_connected(g)} diameter {diameter(g)!r}"]
+    out += [f"dist {v} {sorted(distances_from(g, v).items())!r}" for v in g.vertices]
+    nc = necessary_conditions(g)
+    out.append(repr((nc.connected, nc.diameter_le_3, nc.core_ok, nc.cover_ok, nc.detail)))
+    out.append(f"special {classify_special(g)}")
+    if is_connected(g):
+        dec = core(g)
+        out.append(repr((
+            sorted(dec.core_edges), sorted(dec.core_vertices), sorted(dec.pendant_vertices),
+            dec.edges_on_triangle_or_square, dec.pendants_are_ends_on_core,
+        )))
+        out.append(repr([(w.a, w.b, w.s, w.z) for w in delta_witnesses(g)]))
+        if g.n >= 2:
+            st = SearchState(g)
+            out.append(repr((st.has_d3, st.domains, st._twin_transpositions())))
+    return out
+
+
+def test_graph_analyses_pinned(small_connected_graphs, census_graphs):
+    # distances, diameter, core, pre-checks, families, witnesses and the
+    # search's initial domains on 1,766 graphs, pinned by one digest
+    graphs = list(small_connected_graphs) + list(census_graphs)
+    graphs += [_ladder(k) for k in range(1, 7)]
+    graphs += [_path(k) for k in range(2, 13)] + [_cycle(k) for k in range(3, 13)]
+    graphs += [
+        LabeledGraph(list("abcd"), [("a", "b"), ("c", "d")]),
+        LabeledGraph(list("abcde"), [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e")]),
+        LabeledGraph(list("abcd"), [("a", "b"), ("b", "c")]),
+    ]
+    assert len(graphs) == 1766
+    text = "\n".join(line for g in graphs for line in _analysis_lines(g))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "edf1280737f964381049f05af5446baa3845fc50e2bc10400f54e53d2ea93ab8"
+    )
 
 
 def test_core_requires_connected():

@@ -4,10 +4,11 @@ from zdg.acceptance import brute_force_realizations
 from zdg.algebra import same_products, validate
 from zdg.errors import InputError
 from zdg.families import FamilySpec, add_cap, add_edge, add_end, generate_graph
-from zdg.graph import LabeledGraph, zero_divisor_graph
+from zdg.graph import LabeledGraph, necessary_conditions, zero_divisor_graph
 from zdg.search import (
     Outcome,
     SearchConfig,
+    SearchState,
     enumerate_tables,
     init_domains,
     parse_config_file,
@@ -52,6 +53,23 @@ def test_init_short_circuits_on_failed_prescreen():
 
 
 # --- propagate ------------------------------------------------------------------
+
+
+def test_prescreen_failure_implies_empty_initial_domain(small_connected_graphs, census_graphs):
+    # every pre-check refutation on <= 7 vertices is also an empty domain
+    # of the search's neighborhood cuts, found before any cell is forced
+    refuted = 0
+    for g in list(small_connected_graphs) + list(census_graphs):
+        nc = necessary_conditions(g)
+        if nc.passed:
+            continue
+        refuted += 1
+        st = SearchState(g)
+        assert not st.initialize(), g.edges()
+        assert st.forced == 0
+        assert st.contradiction.endswith("has an empty initial domain")
+        assert nc.diameter_le_3 or not nc.cover_ok
+    assert refuted == 677  # 132 labeled graphs on 2-5 vertices, 545 classes on 6-7
 
 
 def test_propagation_reproduces_contradiction_chain():
