@@ -141,11 +141,6 @@ ORACLE_GRAPHS: dict[str, LabeledGraph] = {
 }
 
 
-def graph_automorphisms(g: LabeledGraph) -> list[dict[str, str]]:
-    """All adjacency-preserving vertex bijections (16 vertices at most)."""
-    return list(isomorphisms(g, g))
-
-
 def relabel_table(table: CayleyTable, mapping: dict[str, str]) -> CayleyTable:
     """Carry ``table`` along the renaming ``mapping`` of its nonzero elements.
 
@@ -375,8 +370,7 @@ def criterion_7(corpus: Corpus) -> CriterionResult:
             corpus.add_witness("kn2(4) enumeration", t)
         if len(res.tables) == 1:
             return found6, f"unique labeled table, equal to the fixture: {found6}"
-        autos = graph_automorphisms(g)
-        twists = [relabel_table(table6, m) for m in autos]
+        twists = [relabel_table(table6, m) for m in isomorphisms(g, g)]
         all_twists = all(
             any(same_products(t, tw) for tw in twists) for t in res.tables
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .acceptance import run_acceptance
@@ -71,7 +72,8 @@ def _fmt_set(values) -> str:
 
 def _add_search_flags(p: argparse.ArgumentParser, verb: str) -> None:
     p.add_argument("--budget", type=int, default=None, help="decision-node budget")
-    p.add_argument("--lemma21", choices=("on", "off"), default=None,
+    p.add_argument("--lemma21", dest="lemma21_pruning", choices=("on", "off"),
+                   default=None,
                    help="prune zero from squares with a distance-3 partner")
     p.add_argument("--config", default=None, help="key=value config file")
     if verb == "realize":
@@ -82,33 +84,22 @@ def _add_search_flags(p: argparse.ArgumentParser, verb: str) -> None:
         p.add_argument("--max-solutions", type=int, default=None)
 
 
-# Each config-file key and the attribute of the flag that sets it; a verb
-# takes a key only if it defines that flag.
-_CONFIG_FLAGS = {
-    "budget": "budget",
-    "lemma21_pruning": "lemma21",
-    "symmetry": "symmetry",
-    "max_solutions": "max_solutions",
-}
-
-
 def _build_config(args) -> SearchConfig:
+    """The search settings: config-file keys, overridden by flags.
+
+    Each flag stores under its ``SearchConfig`` field's name, so a verb
+    takes a config-file key only if it defines the matching flag.
+    """
     kwargs: dict = {}
     if getattr(args, "config", None):
         kwargs.update(parse_config_file(_read(args.config)))
         for key in kwargs:
-            if not hasattr(args, _CONFIG_FLAGS[key]):
+            if not hasattr(args, key):
                 raise InputError(f"config key {key!r} does not apply to {args.verb}")
-    if getattr(args, "budget", None) is not None:
-        kwargs["budget"] = args.budget
-    if getattr(args, "symmetry", None) is not None:
-        kwargs["symmetry"] = args.symmetry == "on"
-    if getattr(args, "lemma21", None) is not None:
-        kwargs["lemma21_pruning"] = args.lemma21 == "on"
-    if getattr(args, "max_solutions", None) is not None:
-        kwargs["max_solutions"] = args.max_solutions
-    if getattr(args, "explain", False):
-        kwargs["explain"] = True
+    for field in fields(SearchConfig):
+        value = getattr(args, field.name, None)
+        if value is not None:
+            kwargs[field.name] = value == "on" if value in ("on", "off") else value
     return SearchConfig(**kwargs)
 
 

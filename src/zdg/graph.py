@@ -20,34 +20,40 @@ ISO_VERTEX_LIMIT = 16
 
 
 class LabeledGraph:
-    """Simple undirected graph with named vertices (never named "0")."""
+    """Simple undirected graph with named vertices (never named "0").
 
-    __slots__ = ("vertices", "_adj", "_index", "_masks")
+    ``masks`` is the graph's one adjacency store, a read-only tuple of
+    neighbourhood bitmasks in ``vertices`` order: bit j of ``masks[i]`` is
+    set iff ``vertices[i]`` and ``vertices[j]`` are adjacent. Every
+    name-level view (neighbours, degrees, edges) is read off it.
+    """
+
+    __slots__ = ("vertices", "masks", "_index")
 
     def __init__(
         self, vertices: Sequence[str], edges: Iterable[tuple[str, str]] = ()
     ):
         vertices = tuple(vertices)
-        seen = set()
+        index: dict[str, int] = {}
         for name in vertices:
             _check_name(name)
             if name == ZERO_NAME:
                 raise InputError('"0" cannot name a vertex')
-            if name in seen:
+            if name in index:
                 raise InputError(f"duplicate vertex {name!r}")
-            seen.add(name)
-        adj: dict[str, set[str]] = {v: set() for v in vertices}
+            index[name] = len(index)
+        masks = [0] * len(vertices)
         for x, y in edges:
-            if x not in adj or y not in adj:
+            if x not in index or y not in index:
                 raise InputError(f"edge ({x},{y}) uses an unknown vertex")
             if x == y:
                 raise InputError(f"loop at {x!r}: the graph is simple")
-            adj[x].add(y)
-            adj[y].add(x)
+            i, j = index[x], index[y]
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "_adj", {v: frozenset(nb) for v, nb in adj.items()})
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(vertices)})
-        object.__setattr__(self, "_masks", None)
+        object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "_index", index)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LabeledGraph is immutable")
@@ -57,36 +63,45 @@ class LabeledGraph:
         return len(self.vertices)
 
     def has_vertex(self, x: str) -> bool:
-        return x in self._adj
+        return x in self._index
+
+    def _at(self, x: str) -> int:
+        """The position of ``x`` in ``vertices``; InputError if unknown."""
+        i = self._index.get(x)
+        if i is None:
+            raise InputError(f"unknown vertex {x!r}")
+        return i
 
     def check_vertex(self, x: str) -> None:
-        if x not in self._adj:
-            raise InputError(f"unknown vertex {x!r}")
+        self._at(x)
 
     def neighbors(self, x: str) -> frozenset[str]:
-        self.check_vertex(x)
-        return self._adj[x]
-
-    def closed_neighborhood(self, x: str) -> frozenset[str]:
-        return self.neighbors(x) | {x}
+        return frozenset(self.vertices[j] for j in _bits(self.masks[self._at(x)]))
 
     def degree(self, x: str) -> int:
-        return len(self.neighbors(x))
+        return self.masks[self._at(x)].bit_count()
 
     def has_edge(self, x: str, y: str) -> bool:
-        self.check_vertex(x)
-        self.check_vertex(y)
-        return y in self._adj[x]
+        return bool(self.masks[self._at(x)] >> self._at(y) & 1)
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         """All edges as name-sorted pairs, lexicographically ordered."""
-        out = {tuple(sorted((x, y))) for x in self.vertices for y in self._adj[x]}
+        names = self.vertices
+        out = []
+        for i, m in enumerate(self.masks):
+            for j in _bits(m):
+                if j > i:
+                    x, y = names[i], names[j]
+                    out.append((x, y) if x < y else (y, x))
         return tuple(sorted(out))
 
     def end_vertices(self) -> set[str]:
-        return {v for v in self.vertices if len(self._adj[v]) == 1}
+        return {v for v, m in zip(self.vertices, self.masks) if m.bit_count() == 1}
 
     def same_graph(self, other: "LabeledGraph") -> bool:
+        """Same vertex set and edge set, whatever the vertex order."""
+        if self.vertices == other.vertices:
+            return self.masks == other.masks
         return set(self.vertices) == set(other.vertices) and self.edges() == other.edges()
 
     def __eq__(self, other: object) -> bool:
@@ -96,7 +111,18 @@ class LabeledGraph:
         return hash((frozenset(self.vertices), self.edges()))
 
     def __repr__(self) -> str:
-        return f"LabeledGraph({len(self.vertices)} vertices, {len(self.edges())} edges)"
+        n_edges = sum(m.bit_count() for m in self.masks) // 2
+        return f"LabeledGraph({len(self.vertices)} vertices, {n_edges} edges)"
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        out.append(bit.bit_length() - 1)
+        mask ^= bit
+    return out
 
 
 # --- construction from a table -------------------------------------------
@@ -129,32 +155,13 @@ def zero_divisor_graph(table: CayleyTable) -> LabeledGraph:
 
 def isolated_vertices(g: LabeledGraph) -> set[str]:
     """Degree-0 vertices. Semigroup graphs of interest here never have any."""
-    return {v for v in g.vertices if g.degree(v) == 0}
+    return {v for v, m in zip(g.vertices, g.masks) if not m}
 
 
 # --- distances -------------------------------------------------------------
 #
-# Every traversal runs on neighbourhood bitmasks: bit j of adj[i] is set iff
-# the i-th and j-th vertices of ``g.vertices`` are adjacent.
-
-
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits of ``mask``, lowest first."""
-    out = []
-    while mask:
-        bit = mask & -mask
-        out.append(bit.bit_length() - 1)
-        mask ^= bit
-    return out
-
-
-def _adjacency(g: LabeledGraph) -> tuple[int, ...]:
-    """The neighbourhood bitmasks of ``g``, built on first use and kept."""
-    if g._masks is None:
-        index = g._index
-        masks = tuple(sum(1 << index[w] for w in g._adj[v]) for v in g.vertices)
-        object.__setattr__(g, "_masks", masks)
-    return g._masks
+# Every traversal runs on neighbourhood bitmasks laid out like ``g.masks``:
+# bit j of adj[i] is set iff the i-th and j-th vertices are adjacent.
 
 
 def _layers(adj: Sequence[int], source: int) -> list[int]:
@@ -190,9 +197,8 @@ def _covering(adj: Sequence[int], need: int) -> int:
 
 def distances_from(g: LabeledGraph, source: str) -> dict[str, float]:
     """BFS distances from ``source``; unreachable vertices get math.inf."""
-    g.check_vertex(source)
     dist: dict[str, float] = dict.fromkeys(g.vertices, math.inf)
-    for d, layer in enumerate(_layers(_adjacency(g), g._index[source])):
+    for d, layer in enumerate(_layers(g.masks, g._at(source))):
         for v in _bits(layer):
             dist[g.vertices[v]] = d
     return dist
@@ -205,7 +211,7 @@ def distance(g: LabeledGraph, x: str, y: str) -> float:
 
 def diameter(g: LabeledGraph) -> float:
     """Largest pairwise distance; 0 for graphs with at most one vertex."""
-    adj = _adjacency(g)
+    adj = g.masks
     best = 0
     for v in range(g.n):
         layers = _layers(adj, v)
@@ -216,7 +222,7 @@ def diameter(g: LabeledGraph) -> float:
 
 
 def is_connected(g: LabeledGraph) -> bool:
-    return g.n <= 1 or sum(_layers(_adjacency(g), 0)) == (1 << g.n) - 1
+    return g.n <= 1 or sum(_layers(g.masks, 0)) == (1 << g.n) - 1
 
 
 # --- core (union of the cycles) --------------------------------------------
@@ -248,7 +254,7 @@ def core(g: LabeledGraph) -> CoreDecomposition:
     """
     if not is_connected(g):
         raise InputError("core() requires a connected graph")
-    adj = _adjacency(g)
+    adj = g.masks
     index = g._index
     core_edges = set()
     on_cycles = True
@@ -281,20 +287,21 @@ def c_set(g: LabeledGraph, a: str, b: str) -> set[str]:
     """C(a,b): vertices whose neighborhood is exactly {a, b}."""
     if not g.has_edge(a, b):
         raise InputError(f"c_set requires adjacent vertices, got {a!r},{b!r}")
-    want = {a, b}
-    return {z for z in g.vertices if set(g.neighbors(z)) == want}
+    want = 1 << g._index[a] | 1 << g._index[b]
+    return {z for z, m in zip(g.vertices, g.masks) if m == want}
 
 
 def t_set(g: LabeledGraph, a: str) -> set[str]:
     """T_a: the end vertices adjacent to a."""
-    return {z for z in g.neighbors(a) if g.degree(z) == 1}
+    masks = g.masks
+    return {g.vertices[z] for z in _bits(masks[g._at(a)]) if masks[z].bit_count() == 1}
 
 
 def is_internal_vertex(g: LabeledGraph, v: str) -> bool:
     """Not an end vertex, and with no end vertex among its neighbors."""
-    if g.degree(v) <= 1:
-        return False
-    return all(g.degree(w) > 1 for w in g.neighbors(v))
+    masks = g.masks
+    nb = masks[g._at(v)]
+    return nb.bit_count() > 1 and all(masks[w].bit_count() > 1 for w in _bits(nb))
 
 
 @dataclass(frozen=True)
@@ -357,44 +364,48 @@ def partition(g: LabeledGraph, w: DeltaWitness) -> StructurePartition:
     and b) are checked, and violations reported: a violation means the graph
     is not a semigroup graph at all.
     """
-    for v in (w.a, w.b, w.s, w.z):
-        g.check_vertex(v)
-    if not g.has_edge(w.a, w.b):
+    a, b, s, z = (g._at(v) for v in (w.a, w.b, w.s, w.z))
+    masks = g.masks
+    if not masks[a] >> b & 1:
         raise InputError(f"invalid witness: {w.a!r} and {w.b!r} are not adjacent")
     caps = c_set(g, w.a, w.b)
     if w.s not in caps:
         raise InputError(f"invalid witness: {w.s!r} is not in C({w.a},{w.b})")
-    dist = distances_from(g, w.s)
-    if dist[w.z] != 3:
+    layers = _layers(masks, s) + [0] * 3
+    if not layers[3] >> z & 1:
         raise InputError(f"invalid witness: d({w.s},{w.z}) != 3")
-    ab = frozenset((w.a, w.b))
-    b_set = frozenset(v for v in g.vertices if v not in caps and dist[v] == 2)
-    l_set = frozenset(v for v in g.vertices if dist[v] == 3)
+
+    def names(mask: int) -> frozenset[str]:
+        return frozenset(g.vertices[v] for v in _bits(mask))
+
+    ab_mask = 1 << a | 1 << b
+    cap_mask = sum(1 << g._index[v] for v in caps)
+    b_mask = layers[2] & ~cap_mask
+    l_mask = layers[3]
+    ab, b_set, l_set = names(ab_mask), names(b_mask), names(l_mask)
     violations: list[str] = []
     notes: list[str] = []
-    covered = ab | caps | b_set | l_set
-    for v in g.vertices:
-        if v not in covered:
-            violations.append(f"vertex {v} is neither in {{a,b}}, C(a,b), B nor L")
+    for v in _bits((1 << g.n) - 1 & ~(ab_mask | cap_mask | b_mask | l_mask)):
+        violations.append(f"vertex {g.vertices[v]} is neither in {{a,b}}, C(a,b), B nor L")
     t_a = frozenset(t_set(g, w.a))
     t_b = frozenset(t_set(g, w.b))
     rest = b_set - t_a - t_b
-    b2 = frozenset(v for v in rest if g.has_edge(v, w.a) and g.has_edge(v, w.b))
+    b2 = frozenset(v for v in rest if masks[g._index[v]] & ab_mask == ab_mask)
     b1 = rest - b2
     for x, y in combinations(sorted(l_set), 2):
-        if g.has_edge(x, y):
+        if masks[g._index[x]] >> g._index[y] & 1:
             violations.append(f"L is not independent: {x}-{y}")
     for k in sorted(b_set):
-        if any(l in g.neighbors(k) for l in l_set):
-            if not (g.has_edge(k, w.a) and g.has_edge(k, w.b)):
-                violations.append(
-                    f"B-vertex {k} has an L-neighbor but is not adjacent to both {w.a} and {w.b}"
-                )
+        nb = masks[g._index[k]]
+        if nb & l_mask and nb & ab_mask != ab_mask:
+            violations.append(
+                f"B-vertex {k} has an L-neighbor but is not adjacent to both {w.a} and {w.b}"
+            )
     for v in sorted(b1):
-        if not any(u in b_set for u in g.neighbors(v)):
+        if not masks[g._index[v]] & b_mask:
             violations.append(f"B1-vertex {v} has no neighbor inside B")
     for v in sorted(b2):
-        if any(u in b_set for u in g.neighbors(v)):
+        if masks[g._index[v]] & b_mask:
             notes.append(f"B2-vertex {v} is also adjacent to another B-vertex")
     return StructurePartition(
         ab, frozenset(caps), b_set, l_set, t_a, t_b, b1, b2,
@@ -461,7 +472,7 @@ def necessary_conditions(g: LabeledGraph) -> NecessaryConditionsReport:
         core_ok = False
         detail = "graph is disconnected"
     cover_ok = True
-    adj = _adjacency(g)
+    adj = g.masks
     for x, y in combinations(sorted(g.vertices), 2):
         i, j = g._index[x], g._index[y]
         if adj[i] >> j & 1:
@@ -490,7 +501,7 @@ def _complete_bipartite_sides(g: LabeledGraph) -> tuple[set[str], set[str]] | No
     """The two sides, read off the parity of the BFS layers, or None."""
     if g.n < 2 or not is_connected(g):
         return None
-    adj = _adjacency(g)
+    adj = g.masks
     layers = _layers(adj, 0)
     even, odd = sum(layers[0::2]), sum(layers[1::2])
     if any(adj[v] != odd for v in _bits(even)) or any(adj[v] != even for v in _bits(odd)):
@@ -500,7 +511,7 @@ def _complete_bipartite_sides(g: LabeledGraph) -> tuple[set[str], set[str]] | No
 
 def _fan_center(g: LabeledGraph) -> str | None:
     for c in sorted(g.vertices):
-        if len(g.neighbors(c)) == g.n - 1 and _is_path(_without_vertex(g, c)):
+        if g.degree(c) == g.n - 1 and _is_path(_without_vertex(g, c)):
             return c
     return None
 

@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .algebra import CayleyTable, ZERO_NAME, validate
 from .errors import InputError
 from .graph import (
     LabeledGraph,
-    _adjacency,
     _bits,
     _covering,
     _layers,
@@ -125,24 +124,15 @@ class _LimitReached(Exception):
 class SearchState:
     """Partial table, candidate domains (bitmasks) and the undo trail."""
 
-    def __init__(
-        self,
-        g: LabeledGraph,
-        config: SearchConfig | None = None,
-        symmetry: bool = False,
-        limit: int | None = None,
-    ):
+    def __init__(self, g: LabeledGraph, config: SearchConfig | None = None):
         self.g = g
         self.config = config or SearchConfig()
-        self._symmetry = symmetry
-        self._limit = limit
         self.names = (ZERO_NAME,) + tuple(g.vertices)
         self.n = n = len(self.names)
         self.index = {nm: i for i, nm in enumerate(self.names)}
         # element i is vertex i - 1 of g: the zero element takes bit 0
-        graph_adj = _adjacency(g)
-        self.adj = adj = [0] + [nb << 1 for nb in graph_adj]
-        self.has_d3 = [False] + [len(_layers(graph_adj, v)) > 3 for v in range(g.n)]
+        self.adj = adj = [0] + [nb << 1 for nb in g.masks]
+        self.has_d3 = [False] + [len(_layers(g.masks, v)) > 3 for v in range(g.n)]
         M = [UNKNOWN] * (n * n)
         for j in range(n):
             M[j] = 0
@@ -179,10 +169,10 @@ class SearchState:
     # --- domain construction ------------------------------------------------
 
     def _pair_domain(self, i: int, j: int) -> int:
-        return _covering(_adjacency(self.g), (self.adj[i] | self.adj[j]) >> 1) << 1
+        return _covering(self.g.masks, (self.adj[i] | self.adj[j]) >> 1) << 1
 
     def _square_domain(self, i: int) -> int:
-        mask = _covering(_adjacency(self.g), self.adj[i] >> 1) << 1
+        mask = _covering(self.g.masks, self.adj[i] >> 1) << 1
         if not self.has_d3[i] or not self.config.lemma21_pruning:
             mask |= 1
         return mask
@@ -476,7 +466,8 @@ class SearchState:
         if not report.ok or not zero_divisor_graph(table).same_graph(self.g):
             raise RuntimeError("internal invariant violation: bad witness produced")
         self.solutions.append(table)
-        if self._limit is not None and len(self.solutions) >= self._limit:
+        limit = self.config.max_solutions
+        if limit is not None and len(self.solutions) >= limit:
             raise _LimitReached
 
     def _dfs(self, depth: int) -> None:
@@ -487,7 +478,7 @@ class SearchState:
         if depth > self.max_depth:
             self.max_depth = depth
         values = _bits(self.domains[cid])
-        if depth == 0 and self._symmetry:
+        if depth == 0 and self.config.symmetry:
             values = self._root_values(cid, values)
         budget = self.config.budget
         for v in values:
@@ -553,11 +544,9 @@ def _stats(state: SearchState, seconds: float) -> SearchStats:
     return SearchStats(state.nodes, state.forced, state.max_depth, seconds)
 
 
-def _run(
-    g: LabeledGraph, config: SearchConfig, symmetry: bool, limit: int | None
-) -> tuple[SearchState, str, float]:
+def _run(g: LabeledGraph, config: SearchConfig) -> tuple[SearchState, str, float]:
     t0 = time.perf_counter()
-    state = SearchState(g, config, symmetry, limit)
+    state = SearchState(g, config)
     status = "done"
     if state.initialize():
         try:
@@ -583,7 +572,7 @@ def realize(g: LabeledGraph, config: SearchConfig | None = None) -> RealizationO
             SearchStats(0, 0, 0, 0.0),
             reason=f"necessary-conditions:{nc.failed[0]}",
         )
-    state, status, seconds = _run(g, config, config.symmetry, limit=1)
+    state, status, seconds = _run(g, replace(config, max_solutions=1))
     chain = state.explain_chain() if config.explain else ()
     if state.solutions:
         return RealizationOutcome(
@@ -614,7 +603,7 @@ def enumerate_tables(
     nc = necessary_conditions(g)
     if not nc.passed:
         return EnumerationResult((), True, SearchStats(0, 0, 0, 0.0))
-    state, status, seconds = _run(g, config, False, config.max_solutions)
+    state, status, seconds = _run(g, replace(config, symmetry=False))
     return EnumerationResult(
         tuple(state.solutions),
         status in ("done", "init-contradiction"),

@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from zdg.acceptance import graph_automorphisms
 from zdg.algebra import CayleyTable
 from zdg.errors import InputError
 from zdg.families import FamilySpec, add_end, generate_graph
@@ -24,6 +23,8 @@ from zdg.graph import (
     find_delta_witness,
     is_isomorphic,
     is_connected,
+    is_internal_vertex,
+    isomorphisms,
     isolated_vertices,
     necessary_conditions,
     parse_graph_text,
@@ -206,6 +207,55 @@ def test_graph_analyses_pinned(small_connected_graphs, census_graphs):
     )
 
 
+def _name_model(vertices, edges):
+    """Neighbour name sets, built straight from an edge list."""
+    model = {v: set() for v in vertices}
+    for x, y in edges:
+        model[x].add(y)
+        model[y].add(x)
+    return model
+
+
+def test_accessors_match_name_set_model(small_connected_graphs):
+    # every name-level view of a graph agrees with a dict of name sets
+    cases = [(g.vertices, list(g.edges())) for g in small_connected_graphs]
+    for g in (_ladder(3), generate_graph(FamilySpec("kn2", n=6))):
+        cases.append((g.vertices, list(g.edges())))
+    cases += [
+        (tuple("abcd"), [("b", "a"), ("c", "d")]),
+        (tuple("abcde"), [("a", "b"), ("c", "b"), ("a", "c"), ("e", "d")]),
+        (tuple("abcd"), [("a", "b"), ("c", "b")]),  # d is isolated
+    ]
+    for vertices, edges in cases:
+        g = LabeledGraph(vertices, edges)
+        model = _name_model(vertices, edges)
+        ends = {v for v in vertices if len(model[v]) == 1}
+        assert g.edges() == tuple(sorted({tuple(sorted(e)) for e in edges}))
+        assert g.end_vertices() == ends
+        for x in vertices:
+            assert g.neighbors(x) == model[x]
+            assert g.degree(x) == len(model[x])
+            assert all(g.has_edge(x, y) == (y in model[x]) for y in vertices)
+            assert t_set(g, x) == model[x] & ends
+            assert is_internal_vertex(g, x) == (len(model[x]) > 1 and not model[x] & ends)
+        for x, y in edges:
+            for a, b in ((x, y), (y, x)):
+                assert c_set(g, a, b) == {z for z in vertices if model[z] == {a, b}}
+        again = LabeledGraph(vertices[::-1], [(y, x) for x, y in edges[::-1]] * 2)
+        assert again == g and hash(again) == hash(g)
+        assert again.same_graph(g) and g.same_graph(again)
+        assert LabeledGraph(vertices, edges[1:]) != g
+    for vertices, edges in (
+        (["a", "b c"], []),
+        (["a", "0"], []),
+        (["a", "b", "a"], []),
+        (["a", "b"], [("a", "q")]),
+        (["a", "b"], [("b", "b")]),
+    ):
+        with pytest.raises(InputError):
+            LabeledGraph(vertices, edges)
+
+
 def test_core_requires_connected():
     with pytest.raises(InputError):
         core(LabeledGraph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]))
@@ -358,7 +408,7 @@ def test_isomorphism_size_limit():
     with pytest.raises(InputError):
         is_isomorphic(big, big)
     with pytest.raises(InputError):
-        graph_automorphisms(big)
+        list(isomorphisms(big, big))
 
 
 def _automorphisms_by_permutation(g):
@@ -376,10 +426,10 @@ def _automorphisms_by_permutation(g):
 
 def test_automorphisms_match_permutation_reference(small_connected_graphs):
     kn2 = generate_graph(FamilySpec("kn2", n=4))
-    assert len(graph_automorphisms(kn2)) == 4
+    assert len(list(isomorphisms(kn2, kn2))) == 4
     for g in small_connected_graphs + [kn2]:
         want = _automorphisms_by_permutation(g)
-        got = graph_automorphisms(g)
+        got = list(isomorphisms(g, g))
         assert len(got) == len(want), (g.vertices, list(g.edges()))
         assert {frozenset(m.items()) for m in got} == {frozenset(m.items()) for m in want}
 
