@@ -65,24 +65,21 @@ class LabeledGraph:
     def has_vertex(self, x: str) -> bool:
         return x in self._index
 
-    def _at(self, x: str) -> int:
+    def check_vertex(self, x: str) -> int:
         """The position of ``x`` in ``vertices``; InputError if unknown."""
         i = self._index.get(x)
         if i is None:
             raise InputError(f"unknown vertex {x!r}")
         return i
 
-    def check_vertex(self, x: str) -> None:
-        self._at(x)
-
     def neighbors(self, x: str) -> frozenset[str]:
-        return frozenset(self.vertices[j] for j in _bits(self.masks[self._at(x)]))
+        return frozenset(self.vertices[j] for j in _bits(self.masks[self.check_vertex(x)]))
 
     def degree(self, x: str) -> int:
-        return self.masks[self._at(x)].bit_count()
+        return self.masks[self.check_vertex(x)].bit_count()
 
     def has_edge(self, x: str, y: str) -> bool:
-        return bool(self.masks[self._at(x)] >> self._at(y) & 1)
+        return bool(self.masks[self.check_vertex(x)] >> self.check_vertex(y) & 1)
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         """All edges as name-sorted pairs, lexicographically ordered."""
@@ -100,8 +97,6 @@ class LabeledGraph:
 
     def same_graph(self, other: "LabeledGraph") -> bool:
         """Same vertex set and edge set, whatever the vertex order."""
-        if self.vertices == other.vertices:
-            return self.masks == other.masks
         return set(self.vertices) == set(other.vertices) and self.edges() == other.edges()
 
     def __eq__(self, other: object) -> bool:
@@ -198,7 +193,7 @@ def _covering(adj: Sequence[int], need: int) -> int:
 def distances_from(g: LabeledGraph, source: str) -> dict[str, float]:
     """BFS distances from ``source``; unreachable vertices get math.inf."""
     dist: dict[str, float] = dict.fromkeys(g.vertices, math.inf)
-    for d, layer in enumerate(_layers(g.masks, g._at(source))):
+    for d, layer in enumerate(_layers(g.masks, g.check_vertex(source))):
         for v in _bits(layer):
             dist[g.vertices[v]] = d
     return dist
@@ -255,11 +250,10 @@ def core(g: LabeledGraph) -> CoreDecomposition:
     if not is_connected(g):
         raise InputError("core() requires a connected graph")
     adj = g.masks
-    index = g._index
     core_edges = set()
     on_cycles = True
     for x, y in g.edges():
-        i, j = index[x], index[y]
+        i, j = g.check_vertex(x), g.check_vertex(y)
         if _on_triangle_or_square(adj, i, j):
             core_edges.add((x, y))
             continue
@@ -287,20 +281,20 @@ def c_set(g: LabeledGraph, a: str, b: str) -> set[str]:
     """C(a,b): vertices whose neighborhood is exactly {a, b}."""
     if not g.has_edge(a, b):
         raise InputError(f"c_set requires adjacent vertices, got {a!r},{b!r}")
-    want = 1 << g._index[a] | 1 << g._index[b]
+    want = 1 << g.check_vertex(a) | 1 << g.check_vertex(b)
     return {z for z, m in zip(g.vertices, g.masks) if m == want}
 
 
 def t_set(g: LabeledGraph, a: str) -> set[str]:
     """T_a: the end vertices adjacent to a."""
     masks = g.masks
-    return {g.vertices[z] for z in _bits(masks[g._at(a)]) if masks[z].bit_count() == 1}
+    return {g.vertices[z] for z in _bits(masks[g.check_vertex(a)]) if masks[z].bit_count() == 1}
 
 
 def is_internal_vertex(g: LabeledGraph, v: str) -> bool:
     """Not an end vertex, and with no end vertex among its neighbors."""
     masks = g.masks
-    nb = masks[g._at(v)]
+    nb = masks[g.check_vertex(v)]
     return nb.bit_count() > 1 and all(masks[w].bit_count() > 1 for w in _bits(nb))
 
 
@@ -364,7 +358,7 @@ def partition(g: LabeledGraph, w: DeltaWitness) -> StructurePartition:
     and b) are checked, and violations reported: a violation means the graph
     is not a semigroup graph at all.
     """
-    a, b, s, z = (g._at(v) for v in (w.a, w.b, w.s, w.z))
+    a, b, s, z = (g.check_vertex(v) for v in (w.a, w.b, w.s, w.z))
     masks = g.masks
     if not masks[a] >> b & 1:
         raise InputError(f"invalid witness: {w.a!r} and {w.b!r} are not adjacent")
@@ -378,8 +372,14 @@ def partition(g: LabeledGraph, w: DeltaWitness) -> StructurePartition:
     def names(mask: int) -> frozenset[str]:
         return frozenset(g.vertices[v] for v in _bits(mask))
 
+    def mask_of(vs: Iterable[str]) -> int:
+        return sum(1 << g.check_vertex(v) for v in vs)
+
+    def by_name(mask: int) -> list[int]:
+        return sorted(_bits(mask), key=g.vertices.__getitem__)
+
     ab_mask = 1 << a | 1 << b
-    cap_mask = sum(1 << g._index[v] for v in caps)
+    cap_mask = mask_of(caps)
     b_mask = layers[2] & ~cap_mask
     l_mask = layers[3]
     ab, b_set, l_set = names(ab_mask), names(b_mask), names(l_mask)
@@ -389,26 +389,27 @@ def partition(g: LabeledGraph, w: DeltaWitness) -> StructurePartition:
         violations.append(f"vertex {g.vertices[v]} is neither in {{a,b}}, C(a,b), B nor L")
     t_a = frozenset(t_set(g, w.a))
     t_b = frozenset(t_set(g, w.b))
-    rest = b_set - t_a - t_b
-    b2 = frozenset(v for v in rest if masks[g._index[v]] & ab_mask == ab_mask)
-    b1 = rest - b2
-    for x, y in combinations(sorted(l_set), 2):
-        if masks[g._index[x]] >> g._index[y] & 1:
-            violations.append(f"L is not independent: {x}-{y}")
-    for k in sorted(b_set):
-        nb = masks[g._index[k]]
+    rest = b_mask & ~mask_of(t_a | t_b)
+    b2_mask = sum(1 << v for v in _bits(rest) if masks[v] & ab_mask == ab_mask)
+    b1_mask = rest & ~b2_mask
+    name = g.vertices
+    for x, y in combinations(by_name(l_mask), 2):
+        if masks[x] >> y & 1:
+            violations.append(f"L is not independent: {name[x]}-{name[y]}")
+    for k in by_name(b_mask):
+        nb = masks[k]
         if nb & l_mask and nb & ab_mask != ab_mask:
             violations.append(
-                f"B-vertex {k} has an L-neighbor but is not adjacent to both {w.a} and {w.b}"
+                f"B-vertex {name[k]} has an L-neighbor but is not adjacent to both {w.a} and {w.b}"
             )
-    for v in sorted(b1):
-        if not masks[g._index[v]] & b_mask:
-            violations.append(f"B1-vertex {v} has no neighbor inside B")
-    for v in sorted(b2):
-        if masks[g._index[v]] & b_mask:
-            notes.append(f"B2-vertex {v} is also adjacent to another B-vertex")
+    for v in by_name(b1_mask):
+        if not masks[v] & b_mask:
+            violations.append(f"B1-vertex {name[v]} has no neighbor inside B")
+    for v in by_name(b2_mask):
+        if masks[v] & b_mask:
+            notes.append(f"B2-vertex {name[v]} is also adjacent to another B-vertex")
     return StructurePartition(
-        ab, frozenset(caps), b_set, l_set, t_a, t_b, b1, b2,
+        ab, frozenset(caps), b_set, l_set, t_a, t_b, names(b1_mask), names(b2_mask),
         tuple(violations), tuple(notes),
     )
 
@@ -473,13 +474,12 @@ def necessary_conditions(g: LabeledGraph) -> NecessaryConditionsReport:
         detail = "graph is disconnected"
     cover_ok = True
     adj = g.masks
-    for x, y in combinations(sorted(g.vertices), 2):
-        i, j = g._index[x], g._index[y]
+    for i, j in combinations(sorted(range(g.n), key=g.vertices.__getitem__), 2):
         if adj[i] >> j & 1:
             continue
         if not _covering(adj, adj[i] | adj[j]):
             cover_ok = False
-            detail = f"no vertex dominates N({x}) | N({y})"
+            detail = f"no vertex dominates N({g.vertices[i]}) | N({g.vertices[j]})"
             break
     return NecessaryConditionsReport(connected, diam_ok, core_ok, cover_ok, detail)
 

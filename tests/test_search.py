@@ -46,6 +46,18 @@ def test_single_edge_domains():
     assert st.domain_of("b", "b") == {"0", "a", "b"}
 
 
+def test_init_domains_keeps_the_callers_config(kn2_graph):
+    # a state follows its config, SearchConfig's defaults (symmetry on, no
+    # solution limit) when none is given; the initial domains depend on neither
+    cfg = SearchConfig(symmetry=False, max_solutions=2)
+    st = init_domains(kn2_graph, cfg)
+    assert st.config is cfg
+    default = init_domains(kn2_graph)
+    assert default.config == SearchConfig()
+    assert default.config.symmetry and default.config.max_solutions is None
+    assert st.domains == default.domains and st.M == default.M
+
+
 def test_init_short_circuits_on_failed_prescreen():
     c5 = LabeledGraph(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "e")])
     st = init_domains(c5)
