@@ -77,8 +77,6 @@ def _add_search_flags(p: argparse.ArgumentParser, verb: str) -> None:
                    help="prune zero from squares with a distance-3 partner")
     p.add_argument("--config", default=None, help="key=value config file")
     if verb == "realize":
-        p.add_argument("--symmetry", choices=("on", "off"), default=None,
-                       help="prune twin-swapped values at the root")
         p.add_argument("--explain", action="store_true", help="print the deduction chain")
     else:
         p.add_argument("--max-solutions", type=int, default=None)

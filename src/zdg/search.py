@@ -48,7 +48,6 @@ UNKNOWN = -1
 @dataclass(frozen=True)
 class SearchConfig:
     budget: int = 10_000_000          # decision nodes
-    symmetry: bool = True             # realize only: root twin pruning
     max_solutions: int | None = None  # enumerate only
     lemma21_pruning: bool = True
     explain: bool = False             # realize only: keep the deduction chain
@@ -70,7 +69,7 @@ def parse_config_file(text: str) -> dict[str, object]:
                 out[key] = int(value)
             except ValueError:
                 raise InputError(f"config line {lineno}: {key} needs an integer") from None
-        elif key in ("symmetry", "lemma21_pruning"):
+        elif key == "lemma21_pruning":
             if value.lower() in ("on", "true", "1", "yes"):
                 out[key] = True
             elif value.lower() in ("off", "false", "0", "no"):
@@ -164,7 +163,6 @@ class SearchState:
         self.forced = 0
         self.max_depth = 0
         self.solutions: list[CayleyTable] = []
-        self._twins: list[tuple[int, int]] | None = None
 
     # --- domain construction ------------------------------------------------
 
@@ -418,46 +416,6 @@ class SearchState:
                 best = cid
         return best
 
-    def _twin_transpositions(self) -> list[tuple[int, int]]:
-        if self._twins is None:
-            adj = self.adj
-            self._twins = [
-                (s, t)
-                for s in range(1, self.n)
-                for t in range(s + 1, self.n)
-                if adj[s] & ~(1 << t) == adj[t] & ~(1 << s)
-            ]
-        return self._twins
-
-    def _root_values(self, cid: int, values: list[int]) -> list[int]:
-        """Drop values interchangeable (by a twin swap) with a smaller one.
-
-        Sound only at the root, where every assignment so far is a forced
-        consequence of the symmetric constraint system, and only for deciding
-        existence: a dropped value's subtree holds the twin-swapped images of
-        the kept one's tables, which are tables too but are never listed.
-        """
-        i, j = divmod(cid, self.n)
-        cell = {i, j}
-        sigmas = [
-            (s, t)
-            for s, t in self._twin_transpositions()
-            if not ({s, t} & cell) or {s, t} == cell
-        ]
-        if not sigmas:
-            return values
-        keep = []
-        for v in values:
-            dominated = False
-            for s, t in sigmas:
-                mapped = t if v == s else s if v == t else v
-                if mapped < v:
-                    dominated = True
-                    break
-            if not dominated:
-                keep.append(v)
-        return keep
-
     def _record_solution(self) -> None:
         n = self.n
         rows = [tuple(self.M[i * n : (i + 1) * n]) for i in range(n)]
@@ -477,11 +435,8 @@ class SearchState:
             return
         if depth > self.max_depth:
             self.max_depth = depth
-        values = _bits(self.domains[cid])
-        if depth == 0 and self.config.symmetry:
-            values = self._root_values(cid, values)
         budget = self.config.budget
-        for v in values:
+        for v in _bits(self.domains[cid]):
             self.nodes += 1
             if self.nodes > budget:
                 raise _BudgetExceeded
@@ -514,13 +469,17 @@ def init_domains(g: LabeledGraph, config: SearchConfig | None = None) -> SearchS
 def propagate(state: SearchState, cell: tuple[str, str], value: str) -> bool:
     """Assign cell := value and propagate; False reports a contradiction.
 
-    Re-assigning an already-known cell to the same value is a no-op.
+    Re-assigning an already-known cell to the same value is a no-op. On a
+    refuted state (``contradiction`` or ``failed_precheck`` set) it answers
+    False at once and leaves ``contradiction`` as it is.
     """
     x, y = cell
     cid = state._cell_of(x, y)
     v = state.index.get(value)
     if v is None:
         raise InputError(f"unknown element {value!r}")
+    if state.contradiction or state.failed_precheck:
+        return False
     if state.M[cid] == v:
         return True
     ok = state._assign(cid, v, ("external",)) and state._drain()
@@ -595,15 +554,14 @@ def enumerate_tables(
 ) -> EnumerationResult:
     """All realizations on fixed labels, up to ``config.max_solutions``.
 
-    The order is deterministic. ``config.symmetry`` is ignored: root twin
-    pruning drops tables whose twin-swapped images are also tables.
+    The order is deterministic, and ``realize`` returns the first table.
     """
     config = config or SearchConfig()
     _check_pre(g, config)
     nc = necessary_conditions(g)
     if not nc.passed:
         return EnumerationResult((), True, SearchStats(0, 0, 0, 0.0))
-    state, status, seconds = _run(g, replace(config, symmetry=False))
+    state, status, seconds = _run(g, config)
     return EnumerationResult(
         tuple(state.solutions),
         status in ("done", "init-contradiction"),

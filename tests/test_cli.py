@@ -1,5 +1,10 @@
+import shlex
+from pathlib import Path
+
 from zdg.algebra import parse_table_csv, same_products
-from zdg.cli import main
+from zdg.cli import _make_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -82,8 +87,7 @@ def test_realize_writes_witness(tmp_path, capsys):
 def test_realize_budget_exit_code(tmp_path, capsys):
     graph_path = tmp_path / "g.graph"
     run(capsys, "gen", "kn2", "--n", "4", "--out-graph", str(graph_path))
-    code, out, _ = run(capsys, "realize", str(graph_path), "--budget", "1",
-                       "--symmetry", "off")
+    code, out, _ = run(capsys, "realize", str(graph_path), "--budget", "1")
     assert code == 2
     assert "outcome: budget-exceeded" in out
 
@@ -111,23 +115,25 @@ def test_realize_only_and_removed_flags_rejected(tmp_path, capsys):
         ("enumerate", str(graph_path), "--symmetry", "on"),
         ("enumerate", str(graph_path), "--explain"),
         ("realize", str(graph_path), "--parallel", "2"),
+        ("realize", str(graph_path), "--symmetry", "off"),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 3, argv
         assert "error:" in err
     config_path = tmp_path / "search.cfg"
-    config_path.write_text("parallel=2\n")
-    code, _, err = run(capsys, "realize", str(graph_path), "--config", str(config_path))
-    assert code == 3
-    assert "unknown key 'parallel'" in err
+    for key in ("parallel=2", "symmetry=off"):
+        config_path.write_text(key + "\n")
+        for verb in ("realize", "enumerate"):
+            code, _, err = run(capsys, verb, str(graph_path), "--config", str(config_path))
+            assert code == 3, (verb, key)
+            assert f"unknown key {key.split('=')[0]!r}" in err
     # a config key whose flag the verb does not define is rejected like the flag
     c4_path = tmp_path / "c4e.graph"
     c4_path.write_text("a b c d e\na c\nc b\nb d\nd a\nc e\n")
-    for verb, line in (("realize", "max_solutions=3"), ("enumerate", "symmetry=on")):
-        config_path.write_text(line + "\n")
-        code, _, err = run(capsys, verb, str(c4_path), "--config", str(config_path))
-        assert code == 3, (verb, line)
-        assert f"config key '{line.split('=')[0]}' does not apply to {verb}" in err
+    config_path.write_text("max_solutions=3\n")
+    code, _, err = run(capsys, "realize", str(c4_path), "--config", str(config_path))
+    assert code == 3
+    assert "config key 'max_solutions' does not apply to realize" in err
 
 
 def test_analyze_output(tmp_path, capsys):
@@ -217,7 +223,7 @@ def test_config_file_flag(tmp_path, capsys):
     graph_path = tmp_path / "g.graph"
     run(capsys, "gen", "kn2", "--n", "4", "--out-graph", str(graph_path))
     config_path = tmp_path / "search.cfg"
-    config_path.write_text("budget=1\nsymmetry=off\n")
+    config_path.write_text("budget=1\n")
     code, out, _ = run(capsys, "realize", str(graph_path), "--config", str(config_path))
     assert code == 2  # the config's tiny budget wins
     code, out, _ = run(capsys, "realize", str(graph_path), "--config", str(config_path),
@@ -231,3 +237,15 @@ def test_reproduce_single_criterion(capsys):
     assert "criterion  1 [PASS]" in out
     code, _, err = run(capsys, "reproduce", "--only", "11")
     assert code == 3
+
+
+def test_readme_command_lines_parse():
+    # every command of README's "Command line" block is one the parser takes,
+    # so a removed flag cannot linger in the documentation
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("zdg ")]
+    assert len(commands) == 12
+    parser = _make_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line.split(">", 1)[0])[1:])

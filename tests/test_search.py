@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 
 from zdg.acceptance import brute_force_realizations
-from zdg.algebra import same_products, validate
+from zdg.algebra import emit_table_csv, same_products, validate
 from zdg.errors import InputError
 from zdg.families import FamilySpec, add_cap, add_edge, add_end, generate_graph
 from zdg.graph import LabeledGraph, necessary_conditions, zero_divisor_graph
@@ -47,14 +49,14 @@ def test_single_edge_domains():
 
 
 def test_init_domains_keeps_the_callers_config(kn2_graph):
-    # a state follows its config, SearchConfig's defaults (symmetry on, no
-    # solution limit) when none is given; the initial domains depend on neither
-    cfg = SearchConfig(symmetry=False, max_solutions=2)
+    # a state follows its config, SearchConfig's defaults (no solution limit)
+    # when none is given; the initial domains depend on neither
+    cfg = SearchConfig(budget=7, max_solutions=2)
     st = init_domains(kn2_graph, cfg)
     assert st.config is cfg
     default = init_domains(kn2_graph)
     assert default.config == SearchConfig()
-    assert default.config.symmetry and default.config.max_solutions is None
+    assert default.config.max_solutions is None
     assert st.domains == default.domains and st.M == default.M
 
 
@@ -86,19 +88,39 @@ def test_prescreen_failure_implies_empty_initial_domain(small_connected_graphs, 
 
 def test_propagation_reproduces_contradiction_chain():
     # assigning the cap-times-end cell to d cannot survive associativity
-    st = init_domains(fig("fig4", caps=1, u=1, v=1, w=1))
+    st = init_domains(fig("fig4", caps=1, u=1, v=0, w=1))
+    assert st.contradiction is None
     assert st.value_of("d", "u1") == "d"  # the forced ideal-style products
-    assert st.value_of("d", "v1") == "d"
-    assert not propagate(st, ("u1", "c1"), "d")
+    assert st.value_of("d", "c1") == "d"
+    assert not propagate(st, ("c1", "w1"), "d")
     assert st.contradiction
 
 
 def test_propagate_same_value_is_noop():
-    st = init_domains(fig("fig4", caps=1, u=1, v=1, w=1))
+    st = init_domains(fig("fig4", caps=1, u=1, v=0, w=1))
+    assert st.contradiction is None
     v = st.value_of("d", "u1")
     before = len(st.trail)
     assert propagate(st, ("d", "u1"), v)
     assert len(st.trail) == before
+
+
+def test_propagate_on_a_refuted_state_fails_at_once():
+    # initial propagation already contradicted here, so no later assignment
+    # may report success, and the first contradiction is kept
+    names = [f"v{i}" for i in range(1, 7)]
+    edges = [("v1", "v2"), ("v1", "v3"), ("v1", "v5"), ("v1", "v6"),
+             ("v2", "v4"), ("v2", "v5"), ("v2", "v6"), ("v3", "v4")]
+    st = init_domains(LabeledGraph(names, edges))
+    assert st.contradiction == "associativity fails on (v4,v5,v6)"
+    trail = list(st.trail)
+    assert not propagate(st, ("v6", "v6"), "0")
+    assert st.contradiction == "associativity fails on (v4,v5,v6)"
+    assert st.trail == trail
+    c5 = LabeledGraph(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "e")])
+    st = init_domains(c5)
+    assert st.failed_precheck and not propagate(st, ("a", "c"), "b")
+    assert st.contradiction is None
 
 
 def test_cap_over_clique_dies_quickly(kn2_graph):
@@ -160,7 +182,7 @@ def test_realize_prescreen_short_circuit():
 
 
 def test_budget_exceeded(kn2_graph):
-    out = realize(kn2_graph, SearchConfig(budget=1, symmetry=False))
+    out = realize(kn2_graph, SearchConfig(budget=1))
     assert out.tag == Outcome.BUDGET_EXCEEDED
 
 
@@ -170,6 +192,20 @@ def test_determinism(kn2_graph):
     second = realize(g)
     assert first.stats.nodes == second.stats.nodes
     assert first.witness == second.witness
+
+
+def test_realize_answers_pinned(census_graphs):
+    # README's "Determinism": tag, reason and witness of every connected
+    # graph on 6 and 7 vertices, pinned by one digest
+    assert len(census_graphs) == 965
+    lines = []
+    for g in census_graphs:
+        out = realize(g)
+        witness = emit_table_csv(out.witness) if out.witness else ""
+        lines.append(f"{out.tag.value} {out.reason} {witness}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "2c9266bb48caf54ddbd245c12fb9b0cb4e50ff1c1d1b8184abef5a1a02a16b38"
+    )
 
 
 def test_explain_chain():
@@ -187,6 +223,14 @@ def test_enumerate_matches_oracle_on_edge_and_triangle():
         assert res.exhaustive
         assert {t.rows for t in res.tables} == brute_force_realizations(g)
     assert len(enumerate_tables(K2).tables) == 6
+
+
+def test_realize_witness_is_first_enumerated_table(small_connected_graphs):
+    # one search serves both verbs: realize stops at enumerate's first table
+    for g in small_connected_graphs:
+        first = enumerate_tables(g, SearchConfig(max_solutions=1)).tables
+        witness = realize(g).witness
+        assert first == (() if witness is None else (witness,)), g.edges()
 
 
 def test_enumerate_respects_limit():
@@ -213,15 +257,6 @@ def test_enumeration_unique_up_to_relabeling(kn2_graph, table6):
     assert twisted == {t.rows for t in res.tables}
 
 
-def test_symmetry_flag_agrees_on_tags(kn2_graph):
-    g = add_cap(kn2_graph, "a", "x1")
-    for symmetry in (True, False):
-        assert realize(g, SearchConfig(symmetry=symmetry)).tag == Outcome.UNREALIZABLE
-    g2 = add_cap(kn2_graph, "x1", "x2")
-    for symmetry in (True, False):
-        assert realize(g2, SearchConfig(symmetry=symmetry)).tag == Outcome.REALIZED
-
-
 def test_lemma21_flag_agrees_on_answers():
     cases = [
         (fig("fig3", m=1, n=1, u=0, v=1), Outcome.REALIZED),
@@ -242,20 +277,13 @@ def test_enumerate_lists_twin_swapped_tables():
     assert on.exhaustive and off.exhaustive
     assert len(on.tables) == 14
     assert {t.rows for t in on.tables} == {t.rows for t in off.tables}
-    # symmetry is a realize setting; enumeration ignores it
-    pruned = enumerate_tables(g, SearchConfig(symmetry=True))
-    assert [t.rows for t in pruned.tables] == [t.rows for t in on.tables]
 
 
 def test_pruning_switches_never_change_answers(small_connected_graphs):
     small = small_connected_graphs
     assert len(small) == 771  # connected labeled graphs on 2..5 vertices
     for g in small:
-        tags = {
-            realize(g, SearchConfig(symmetry=s, lemma21_pruning=p)).tag
-            for s in (True, False)
-            for p in (True, False)
-        }
+        tags = {realize(g, SearchConfig(lemma21_pruning=p)).tag for p in (True, False)}
         assert len(tags) == 1, (g.vertices, list(g.edges()), tags)
     tiny = [g for g in small if g.n <= 4]
     assert len(tiny) == 43
@@ -297,10 +325,9 @@ def test_witness_replay_never_leaves_domains():
 
 
 def test_parse_config_file():
-    text = "budget = 500\nsymmetry = off\n# comment\nlemma21_pruning=on\nmax_solutions=7\n"
+    text = "budget = 500\n# comment\nlemma21_pruning=on\nmax_solutions=7\n"
     assert parse_config_file(text) == {
         "budget": 500,
-        "symmetry": False,
         "lemma21_pruning": True,
         "max_solutions": 7,
     }
@@ -311,4 +338,6 @@ def test_parse_config_file():
     with pytest.raises(InputError):
         parse_config_file("mystery=1\n")
     with pytest.raises(InputError):
-        parse_config_file("symmetry=sideways\n")
+        parse_config_file("lemma21_pruning=sideways\n")
+    with pytest.raises(InputError, match="unknown key 'symmetry'"):
+        parse_config_file("symmetry=off\n")
