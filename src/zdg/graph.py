@@ -181,12 +181,12 @@ def _covering(adj: Sequence[int], need: int) -> int:
 
     This is the neighbourhood cut shared by the cover pre-check and the
     search's initial domains: a nonzero product that every vertex of
-    ``need`` annihilates is one of these vertices.
+    ``need`` annihilates is one of these vertices. Adjacency is symmetric,
+    so it is the intersection of the closed neighbourhoods N[u], u in need.
     """
-    mask = 0
-    for v, nb in enumerate(adj):
-        if need & ~(nb | 1 << v) == 0:
-            mask |= 1 << v
+    mask = (1 << len(adj)) - 1
+    for u in _bits(need):
+        mask &= adj[u] | 1 << u
     return mask
 
 

@@ -20,6 +20,13 @@ cells, with every deduction recorded on an undo trail. Exhausting the tree
 without a solution is therefore a certificate of non-realizability,
 replayable deterministically under the recorded configuration.
 
+The search runs on an explicit stack of frames, one per decision, so its
+depth is bounded by the number of cells and not by the interpreter's
+recursion limit. Each step branches on the unassigned cell with the fewest
+candidates (lowest cell first), kept in one bucket per domain size; the
+triple pruning reads, per column c, bitmasks of the rows w whose product
+w*c is known to equal each value, or is still unknown.
+
 The engine deliberately searches only semigroups on V(G) + {0}; whether some
 larger semigroup could realize G is a different question and out of scope.
 """
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -154,6 +162,21 @@ class SearchState:
                 )
                 cells.append(cid)
         self.cells = tuple(cells)
+        # val[c*n + x]: mask of the w with w*c == x; unk[c]: mask of the w
+        # with w*c unknown. They mirror M for the triple pruning loop.
+        self.val = val = [0] * (n * n)
+        self.unk = unk = [0] * n
+        for w in range(n):
+            for c in range(n):
+                x = M[w * n + c]
+                if x == UNKNOWN:
+                    unk[c] |= 1 << w
+                else:
+                    val[c * n + x] |= 1 << w
+        # the unassigned cells, one set per domain size
+        self.buckets: list[set[int]] = [set() for _ in range(n + 1)]
+        for cid in cells:
+            self.buckets[self.domains[cid].bit_count()].add(cid)
         self.trail: list[tuple] = []
         self.cells_by_value: list[list[int]] = [[] for _ in range(n)]
         self._queue: deque[int] = deque()
@@ -225,24 +248,31 @@ class SearchState:
 
     # --- trail ------------------------------------------------------------------
 
-    def _mark(self) -> int:
-        return len(self.trail)
-
     def _undo_to(self, mark: int) -> None:
         M = self.M
         n = self.n
-        while len(self.trail) > mark:
-            entry = self.trail.pop()
-            kind = entry[0]
+        val, unk, domains, buckets = self.val, self.unk, self.domains, self.buckets
+        trail = self.trail
+        while len(trail) > mark:
+            entry = trail.pop()
             cid = entry[1]
-            if kind == "A":
+            if entry[0] == "A":
                 v = M[cid]
                 i, j = divmod(cid, n)
                 M[cid] = UNKNOWN
                 M[j * n + i] = UNKNOWN
+                val[j * n + v] &= ~(1 << i)
+                unk[j] |= 1 << i
+                val[i * n + v] &= ~(1 << j)
+                unk[i] |= 1 << j
+                buckets[domains[cid].bit_count()].add(cid)
                 self.cells_by_value[v].pop()
             else:  # ("P", cid, removed_mask, reason)
-                self.domains[cid] |= entry[2]
+                mask = domains[cid]
+                domains[cid] = mask | entry[2]
+                if M[cid] == UNKNOWN:
+                    buckets[mask.bit_count()].remove(cid)
+                    buckets[domains[cid].bit_count()].add(cid)
         self.contradiction = None
 
     # --- propagation ---------------------------------------------------------------
@@ -266,9 +296,15 @@ class SearchState:
                 f"({self.names[i]},{self.names[j]})"
             )
             return False
-        i, j = divmod(cid, self.n)
+        n = self.n
+        i, j = divmod(cid, n)
         M[cid] = v
-        M[j * self.n + i] = v
+        M[j * n + i] = v
+        self.val[j * n + v] |= 1 << i
+        self.unk[j] &= ~(1 << i)
+        self.val[i * n + v] |= 1 << j
+        self.unk[i] &= ~(1 << j)
+        self.buckets[self.domains[cid].bit_count()].remove(cid)
         self.trail.append(("A", cid, reason))
         self.cells_by_value[v].append(cid)
         self._queue.append(cid)
@@ -282,6 +318,9 @@ class SearchState:
             return True
         new = mask & keep
         self.domains[cid] = new
+        if self.M[cid] == UNKNOWN:
+            self.buckets[mask.bit_count()].remove(cid)
+            self.buckets[new.bit_count()].add(cid)
         self.trail.append(("P", cid, removed, reason))
         if new == 0:
             i, j = divmod(cid, self.n)
@@ -300,60 +339,44 @@ class SearchState:
         t1 = M[p * n + q]
         t2 = M[p * n + r]
         t3 = M[q * n + r]
-        known = UNKNOWN
-        if t1 >= 0:
-            o = M[t1 * n + r]
-            if o >= 0:
-                known = o
-        if t2 >= 0:
-            o = M[t2 * n + q]
-            if o >= 0:
-                if known == UNKNOWN:
-                    known = o
-                elif known != o:
-                    self.contradiction = (
-                        f"associativity fails on ({self.names[p]},{self.names[q]},"
-                        f"{self.names[r]})"
-                    )
-                    return False
-        if t3 >= 0:
-            o = M[t3 * n + p]
-            if o >= 0:
-                if known == UNKNOWN:
-                    known = o
-                elif known != o:
-                    self.contradiction = (
-                        f"associativity fails on ({self.names[p]},{self.names[q]},"
-                        f"{self.names[r]})"
-                    )
-                    return False
+        o1 = M[t1 * n + r] if t1 >= 0 else UNKNOWN
+        o2 = M[t2 * n + q] if t2 >= 0 else UNKNOWN
+        o3 = M[t3 * n + p] if t3 >= 0 else UNKNOWN
+        known = o1 if o1 >= 0 else o2 if o2 >= 0 else o3
         if known == UNKNOWN:
             return True
+        if (o2 >= 0 and o2 != known) or (o3 >= 0 and o3 != known):
+            self.contradiction = (
+                f"associativity fails on ({self.names[p]},{self.names[q]},{self.names[r]})"
+            )
+            return False
+        # an outer cell read as unknown may have been set by an earlier
+        # assignment here (the cells can coincide); _assign accepts that
         reason = ("triple", p, q, r)
-        if t1 >= 0 and M[t1 * n + r] == UNKNOWN:
-            if not self._assign(self._key(t1, r), known, reason):
-                return False
-        if t2 >= 0 and M[t2 * n + q] == UNKNOWN:
-            if not self._assign(self._key(t2, q), known, reason):
-                return False
-        if t3 >= 0 and M[t3 * n + p] == UNKNOWN:
-            if not self._assign(self._key(t3, p), known, reason):
-                return False
+        if t1 >= 0 and o1 == UNKNOWN and not self._assign(self._key(t1, r), known, reason):
+            return False
+        if t2 >= 0 and o2 == UNKNOWN and not self._assign(self._key(t2, q), known, reason):
+            return False
+        if t3 >= 0 and o3 == UNKNOWN and not self._assign(self._key(t3, p), known, reason):
+            return False
+        if t1 >= 0 and t2 >= 0 and t3 >= 0:
+            return True
+        domains = self.domains
+        val = self.val
+        unk = self.unk
         for tv, a, b, c in ((t1, p, q, r), (t2, p, r, q), (t3, q, r, p)):
             if tv >= 0:
                 continue
-            cid = self._key(a, b)
-            mask = self.domains[cid]
-            keep = 0
-            mm = mask
+            cid = a * n + b if a <= b else b * n + a
+            mask = domains[cid]
+            # keep w if w*c is known already, or may still become known
+            keep = mask & val[c * n + known]
+            mm = mask & unk[c]
             while mm:
                 bit = mm & -mm
-                w = bit.bit_length() - 1
                 mm ^= bit
-                ov = M[w * n + c]
-                if ov == known:
-                    keep |= bit
-                elif ov == UNKNOWN and (self.domains[self._key(w, c)] >> known) & 1:
+                w = bit.bit_length() - 1
+                if (domains[w * n + c if w <= c else c * n + w] >> known) & 1:
                     keep |= bit
             if keep != mask and not self._prune(cid, keep, reason):
                 return False
@@ -362,17 +385,18 @@ class SearchState:
     def _drain(self) -> bool:
         q = self._queue
         n = self.n
+        process = self._process_triple
         while q:
             cid = q.popleft()
             i, j = divmod(cid, n)
             for z in range(1, n):
-                if not self._process_triple(i, j, z):
+                if not process(i, j, z):
                     q.clear()
                     return False
             for value_elem, third in ((i, j), (j, i)):
                 for pq in list(self.cells_by_value[value_elem]):
                     pp, qq = divmod(pq, n)
-                    if not self._process_triple(pp, qq, third):
+                    if not process(pp, qq, third):
                         q.clear()
                         return False
         return True
@@ -404,17 +428,11 @@ class SearchState:
     # --- search --------------------------------------------------------------------
 
     def _select(self) -> int | None:
-        best = None
-        best_key = None
-        M = self.M
-        for cid in self.cells:
-            if M[cid] != UNKNOWN:
-                continue
-            k = (self.domains[cid].bit_count(), cid)
-            if best_key is None or k < best_key:
-                best_key = k
-                best = cid
-        return best
+        """The unassigned cell with the fewest candidates, lowest cid first."""
+        for bucket in self.buckets:
+            if bucket:
+                return min(bucket)
+        return None
 
     def _record_solution(self) -> None:
         n = self.n
@@ -428,24 +446,40 @@ class SearchState:
         if limit is not None and len(self.solutions) >= limit:
             raise _LimitReached
 
-    def _dfs(self, depth: int) -> None:
-        cid = self._select()
-        if cid is None:
-            self._record_solution()
-            return
-        if depth > self.max_depth:
-            self.max_depth = depth
+    def _search(self) -> None:
+        """Depth-first search over the unassigned cells, on an explicit stack.
+
+        A frame is (cell, its remaining values, depth, trail mark). Each value
+        is tried from the frame's mark, so the trail is undone before the
+        next one; the exceptions leave the trail as it was when raised.
+        """
         budget = self.config.budget
-        for v in _bits(self.domains[cid]):
-            self.nodes += 1
-            if self.nodes > budget:
-                raise _BudgetExceeded
-            mark = self._mark()
-            if self._assign(cid, v, ("decision", depth)) and self._drain():
-                self._dfs(depth + 1)
+        frames: list[tuple[int, Iterator[int], int, int]] = []
+        depth = 0
+        while True:
+            cid = self._select()
+            if cid is None:
+                self._record_solution()
             else:
+                if depth > self.max_depth:
+                    self.max_depth = depth
+                frames.append((cid, iter(_bits(self.domains[cid])), depth, len(self.trail)))
+            while frames:
+                cid, values, depth, mark = frames[-1]
+                self._undo_to(mark)
+                v = next(values, None)
+                if v is None:
+                    frames.pop()
+                    continue
+                self.nodes += 1
+                if self.nodes > budget:
+                    raise _BudgetExceeded
+                if self._assign(cid, v, ("decision", depth)) and self._drain():
+                    depth += 1
+                    break
                 self._queue.clear()
-            self._undo_to(mark)
+            else:
+                return
 
 
 # --- public operations ---------------------------------------------------------
@@ -509,7 +543,7 @@ def _run(g: LabeledGraph, config: SearchConfig) -> tuple[SearchState, str, float
     status = "done"
     if state.initialize():
         try:
-            state._dfs(0)
+            state._search()
         except _BudgetExceeded:
             status = "budget"
         except _LimitReached:

@@ -1,10 +1,14 @@
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from zdg.algebra import parse_table_csv, same_products
 from zdg.cli import _make_parser, main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run(capsys, *argv):
@@ -90,6 +94,20 @@ def test_realize_budget_exit_code(tmp_path, capsys):
     code, out, _ = run(capsys, "realize", str(graph_path), "--budget", "1")
     assert code == 2
     assert "outcome: budget-exceeded" in out
+
+
+def test_realize_deep_ladder_graph_from_a_pipe():
+    # fig3(13,13,13,13) needs search depth 1,003, beyond a fresh
+    # interpreter's default recursion limit of 1,000
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    zdg = [sys.executable, "-m", "zdg"]
+    gen = subprocess.run(zdg + ["gen", "fig3", "--m", "13", "--n", "13", "--u", "13",
+                                "--v", "13"], capture_output=True, text=True, env=env)
+    assert gen.returncode == 0, gen.stderr
+    out = subprocess.run(zdg + ["realize", "/dev/stdin"], input=gen.stdout,
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert "outcome: realized" in out.stdout
 
 
 def test_enumerate_cli(tmp_path, capsys):

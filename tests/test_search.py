@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import pytest
 
@@ -206,6 +207,41 @@ def test_realize_answers_pinned(census_graphs):
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "2c9266bb48caf54ddbd245c12fb9b0cb4e50ff1c1d1b8184abef5a1a02a16b38"
     )
+
+
+def test_search_counters_pinned():
+    # README's "Determinism": (nodes, forced, max_depth) of the six exhaustive
+    # refutations fig5(m,n,0)+edge(x1,x2) and of three fig3(k,k,k,k) graphs
+    refutations = {
+        (1, 1): (385, 421, 9),
+        (1, 2): (2574, 2743, 14),
+        (2, 1): (2532, 3452, 13),
+        (1, 3): (30567, 34876, 19),
+        (2, 2): (17208, 23128, 18),
+        (3, 1): (30130, 48897, 18),
+    }
+    for (m, n), counters in refutations.items():
+        out = realize(add_edge(fig("fig5", m=m, n=n, v=0), "x1", "x2"))
+        assert out.tag == Outcome.UNREALIZABLE
+        assert (out.stats.nodes, out.stats.forced, out.stats.max_depth) == counters, (m, n)
+    ladder = {1: (97, 167, 11), 2: (7924, 14649, 32), 12: (1049, 4473, 860)}
+    for k, counters in ladder.items():
+        out = realize(fig("fig3", m=k, n=k, u=k, v=k))
+        assert out.tag == Outcome.REALIZED
+        assert (out.stats.nodes, out.stats.forced, out.stats.max_depth) == counters, k
+
+
+def test_realize_fig3_ladder_past_the_recursion_limit():
+    # the search runs on an explicit stack: depth 1003 and 1498 need no
+    # recursion limit above the interpreter's default
+    assert sys.getrecursionlimit() < 1003
+    for k, counters in ((13, (1206, 5170, 1003)), (16, (1743, 7561, 1498))):
+        g = fig("fig3", m=k, n=k, u=k, v=k)
+        out = realize(g)
+        assert out.tag == Outcome.REALIZED, k
+        assert validate(out.witness).ok
+        assert zero_divisor_graph(out.witness).same_graph(g)
+        assert (out.stats.nodes, out.stats.forced, out.stats.max_depth) == counters, k
 
 
 def test_explain_chain():
