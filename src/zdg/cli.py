@@ -34,6 +34,7 @@ from .graph import (
 from .search import (
     Outcome,
     SearchConfig,
+    SearchStats,
     enumerate_tables,
     parse_config_file,
     realize,
@@ -200,14 +201,18 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _print_stats(stats: SearchStats) -> None:
+    print(
+        f"stats: nodes={stats.nodes} forced={stats.forced} "
+        f"max-depth={stats.max_depth} seconds={stats.seconds:.3f}"
+    )
+
+
 def _cmd_realize(args) -> int:
     g = parse_graph_text(_read(args.graph))
     out = realize(g, _build_config(args))
     print("outcome:", out.tag.value)
-    print(
-        f"stats: nodes={out.stats.nodes} forced={out.stats.forced} "
-        f"max-depth={out.stats.max_depth} seconds={out.stats.seconds:.3f}"
-    )
+    _print_stats(out.stats)
     if out.reason:
         print("reason:", out.reason)
     for line in out.chain:
@@ -226,10 +231,7 @@ def _cmd_enumerate(args) -> int:
     res = enumerate_tables(g, _build_config(args))
     print("solutions:", len(res.tables))
     print("exhaustive:", "yes" if res.exhaustive else "no")
-    print(
-        f"stats: nodes={res.stats.nodes} forced={res.stats.forced} "
-        f"max-depth={res.stats.max_depth} seconds={res.stats.seconds:.3f}"
-    )
+    _print_stats(res.stats)
     for table in res.tables:
         print()
         sys.stdout.write(emit_table_csv(table))

@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .algebra import CayleyTable, ZERO_NAME, validate
@@ -120,14 +120,6 @@ class EnumerationResult:
     budget_exceeded: bool = False
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
-class _LimitReached(Exception):
-    pass
-
-
 class SearchState:
     """Partial table, candidate domains (bitmasks) and the undo trail."""
 
@@ -151,17 +143,16 @@ class SearchState:
                     M[j * n + i] = 0
         self.M = M
         self.domains: list[int | None] = [None] * (n * n)
-        cells = []
+        # the unassigned cells, one set per domain size
+        self.buckets: list[set[int]] = [set() for _ in range(n + 1)]
         for i in range(1, n):
             for j in range(i, n):
                 cid = i * n + j
                 if M[cid] != UNKNOWN:
                     continue
-                self.domains[cid] = (
-                    self._square_domain(i) if i == j else self._pair_domain(i, j)
-                )
-                cells.append(cid)
-        self.cells = tuple(cells)
+                mask = self._square_domain(i) if i == j else self._pair_domain(i, j)
+                self.domains[cid] = mask
+                self.buckets[mask.bit_count()].add(cid)
         # val[c*n + x]: mask of the w with w*c == x; unk[c]: mask of the w
         # with w*c unknown. They mirror M for the triple pruning loop.
         self.val = val = [0] * (n * n)
@@ -173,10 +164,6 @@ class SearchState:
                     unk[c] |= 1 << w
                 else:
                     val[c * n + x] |= 1 << w
-        # the unassigned cells, one set per domain size
-        self.buckets: list[set[int]] = [set() for _ in range(n + 1)]
-        for cid in cells:
-            self.buckets[self.domains[cid].bit_count()].add(cid)
         self.trail: list[tuple] = []
         self.cells_by_value: list[list[int]] = [[] for _ in range(n)]
         self._queue: deque[int] = deque()
@@ -229,8 +216,6 @@ class SearchState:
             _, cid, reason = entry
             i, j = divmod(cid, n)
             v = self.M[cid]
-            if v == UNKNOWN:
-                continue
             if reason[0] == "triple":
                 why = "forced by associativity on ({},{},{})".format(
                     *(names[t] for t in reason[1:])
@@ -403,18 +388,16 @@ class SearchState:
 
     def initialize(self) -> bool:
         """Run the initial fixpoint; False means the graph died in propagation."""
-        for cid in self.cells:
-            if self.domains[cid] == 0:
-                i, j = divmod(cid, self.n)
-                self.contradiction = (
-                    f"cell ({self.names[i]},{self.names[j]}) has an empty initial domain"
-                )
-                return False
-        for cid in self.cells:
-            mask = self.domains[cid]
-            if mask & (mask - 1) == 0 and self.M[cid] == UNKNOWN:
-                if not self._assign(cid, mask.bit_length() - 1, ("init",)):
-                    return False
+        if self.buckets[0]:
+            i, j = divmod(min(self.buckets[0]), self.n)
+            self.contradiction = (
+                f"cell ({self.names[i]},{self.names[j]}) has an empty initial domain"
+            )
+            return False
+        # nothing is pruned before the drain, so these are the singleton
+        # cells, and each assignment succeeds
+        for cid in sorted(self.buckets[1]):
+            self._assign(cid, self.domains[cid].bit_length() - 1, ("init",))
         if not self._drain():
             return False
         for p in range(1, self.n):
@@ -442,16 +425,15 @@ class SearchState:
         if not report.ok or not zero_divisor_graph(table).same_graph(self.g):
             raise RuntimeError("internal invariant violation: bad witness produced")
         self.solutions.append(table)
-        limit = self.config.max_solutions
-        if limit is not None and len(self.solutions) >= limit:
-            raise _LimitReached
 
-    def _search(self) -> None:
+    def _search(self, limit: int | None) -> str:
         """Depth-first search over the unassigned cells, on an explicit stack.
 
         A frame is (cell, its remaining values, depth, trail mark). Each value
         is tried from the frame's mark, so the trail is undone before the
-        next one; the exceptions leave the trail as it was when raised.
+        next one. Returns "done" once the tree is exhausted, "limit" once
+        ``limit`` solutions are recorded, or "budget" once the node budget
+        trips; the early returns leave the trail as it stands.
         """
         budget = self.config.budget
         frames: list[tuple[int, Iterator[int], int, int]] = []
@@ -460,6 +442,8 @@ class SearchState:
             cid = self._select()
             if cid is None:
                 self._record_solution()
+                if len(self.solutions) == limit:
+                    return "limit"
             else:
                 if depth > self.max_depth:
                     self.max_depth = depth
@@ -473,13 +457,12 @@ class SearchState:
                     continue
                 self.nodes += 1
                 if self.nodes > budget:
-                    raise _BudgetExceeded
+                    return "budget"
                 if self._assign(cid, v, ("decision", depth)) and self._drain():
                     depth += 1
                     break
-                self._queue.clear()
             else:
-                return
+                return "done"
 
 
 # --- public operations ---------------------------------------------------------
@@ -514,15 +497,18 @@ def propagate(state: SearchState, cell: tuple[str, str], value: str) -> bool:
         raise InputError(f"unknown element {value!r}")
     if state.contradiction or state.failed_precheck:
         return False
-    if state.M[cid] == v:
-        return True
-    ok = state._assign(cid, v, ("external",)) and state._drain()
-    if not ok:
-        state._queue.clear()
-    return ok
+    return state._assign(cid, v, ("external",)) and state._drain()
 
 
-def _check_pre(g: LabeledGraph, config: SearchConfig) -> None:
+def _run(
+    g: LabeledGraph, config: SearchConfig, limit: int | None
+) -> tuple[SearchState | None, str, SearchStats]:
+    """Check the input, pre-screen it, and search for up to ``limit`` tables.
+
+    The status is ``SearchState._search``'s, or "done" when initial
+    propagation refutes the graph. A graph the pre-screen refutes gets no
+    state, zero stats, and the failed condition's name as its status.
+    """
     if g.n < 2:
         raise InputError("realization needs a graph with at least 2 vertices")
     if not is_connected(g):
@@ -531,56 +517,33 @@ def _check_pre(g: LabeledGraph, config: SearchConfig) -> None:
         raise InputError("budget must be positive")
     if config.max_solutions is not None and config.max_solutions < 1:
         raise InputError("max_solutions must be >= 1")
-
-
-def _stats(state: SearchState, seconds: float) -> SearchStats:
-    return SearchStats(state.nodes, state.forced, state.max_depth, seconds)
-
-
-def _run(g: LabeledGraph, config: SearchConfig) -> tuple[SearchState, str, float]:
+    nc = necessary_conditions(g)
+    if not nc.passed:
+        return None, nc.failed[0], SearchStats(0, 0, 0, 0.0)
     t0 = time.perf_counter()
     state = SearchState(g, config)
-    status = "done"
-    if state.initialize():
-        try:
-            state._search()
-        except _BudgetExceeded:
-            status = "budget"
-        except _LimitReached:
-            status = "limit"
-    else:
-        status = "init-contradiction"
-    return state, status, time.perf_counter() - t0
+    status = state._search(limit) if state.initialize() else "done"
+    seconds = time.perf_counter() - t0
+    return state, status, SearchStats(state.nodes, state.forced, state.max_depth, seconds)
 
 
 def realize(g: LabeledGraph, config: SearchConfig | None = None) -> RealizationOutcome:
     """Find one realization, certify there is none, or trip the node budget."""
     config = config or SearchConfig()
-    _check_pre(g, config)
-    nc = necessary_conditions(g)
-    if not nc.passed:
-        return RealizationOutcome(
-            Outcome.UNREALIZABLE,
-            None,
-            SearchStats(0, 0, 0, 0.0),
-            reason=f"necessary-conditions:{nc.failed[0]}",
-        )
-    state, status, seconds = _run(g, replace(config, max_solutions=1))
-    chain = state.explain_chain() if config.explain else ()
-    if state.solutions:
-        return RealizationOutcome(
-            Outcome.REALIZED, state.solutions[0], _stats(state, seconds), chain=chain
-        )
+    state, status, stats = _run(g, config, 1)
+    if state is None:
+        reason = f"necessary-conditions:{status}"
+        return RealizationOutcome(Outcome.UNREALIZABLE, None, stats, reason=reason)
     if status == "budget":
-        return RealizationOutcome(
-            Outcome.BUDGET_EXCEEDED, None, _stats(state, seconds), reason="budget exhausted"
-        )
+        return RealizationOutcome(Outcome.BUDGET_EXCEEDED, None, stats, reason="budget exhausted")
+    chain = state.explain_chain() if config.explain else ()
+    if status == "limit":
+        return RealizationOutcome(Outcome.REALIZED, state.solutions[0], stats, chain=chain)
+    # only a refutation in initial propagation leaves a contradiction standing
     reason = "exhausted"
-    if status == "init-contradiction":
+    if state.contradiction:
         reason = f"exhausted: contradiction during initial propagation ({state.contradiction})"
-    return RealizationOutcome(
-        Outcome.UNREALIZABLE, None, _stats(state, seconds), reason=reason, chain=chain
-    )
+    return RealizationOutcome(Outcome.UNREALIZABLE, None, stats, reason=reason, chain=chain)
 
 
 def enumerate_tables(
@@ -591,15 +554,10 @@ def enumerate_tables(
     The order is deterministic, and ``realize`` returns the first table.
     """
     config = config or SearchConfig()
-    _check_pre(g, config)
-    nc = necessary_conditions(g)
-    if not nc.passed:
-        return EnumerationResult((), True, SearchStats(0, 0, 0, 0.0))
-    state, status, seconds = _run(g, config)
+    state, status, stats = _run(g, config, config.max_solutions)
     return EnumerationResult(
-        tuple(state.solutions),
-        status in ("done", "init-contradiction"),
-        _stats(state, seconds),
+        tuple(state.solutions) if state else (),
+        status not in ("budget", "limit"),
+        stats,
         budget_exceeded=(status == "budget"),
     )
-

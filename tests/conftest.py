@@ -74,19 +74,26 @@ def small_connected_graphs():
 
 
 @pytest.fixture(scope="session")
-def census_graphs():
-    """The connected graphs on 6 and 7 vertices pinned in bench/data/graphs.txt.
+def bench_graphs():
+    """The connected graphs pinned in bench/data/graphs.txt, as {n: [graph]}.
 
-    One graph per isomorphism class (112 + 853), on the vertices v1..vn.
+    One graph per isomorphism class (21, 112 and 853 on 5, 6 and 7
+    vertices), on the vertices v1..vn.
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(BENCH))
         import workloads
 
         by_n = workloads.load_graphs()
-    graphs = []
-    for n in (6, 7):
+    graphs = {}
+    for n, pinned in by_n.items():
         names = [f"v{i + 1}" for i in range(n)]
-        for _, edges, _ in by_n[n]:
-            graphs.append(LabeledGraph(names, [(names[i], names[j]) for i, j in edges]))
+        graphs[n] = [LabeledGraph(names, [(names[i], names[j]) for i, j in edges])
+                     for _, edges, _ in pinned]
     return graphs
+
+
+@pytest.fixture(scope="session")
+def census_graphs(bench_graphs):
+    """The 112 + 853 connected graphs on 6 and 7 vertices of bench_graphs."""
+    return bench_graphs[6] + bench_graphs[7]

@@ -231,6 +231,34 @@ def test_search_counters_pinned():
         assert (out.stats.nodes, out.stats.forced, out.stats.max_depth) == counters, k
 
 
+def test_early_exits_pinned(bench_graphs):
+    # README's "Determinism" at the search's early exits: realize with explain
+    # tripped at every budget short of exhausting four refutations, and
+    # enumerate stopped by a solution limit or a small budget, pinned by one
+    # digest
+    lines = []
+    for m, n in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        g = add_edge(fig("fig5", m=m, n=n, v=0), "x1", "x2")
+        for budget in (*range(1, 40), SearchConfig.budget):
+            out = realize(g, SearchConfig(budget=budget, explain=True))
+            s = out.stats
+            lines.append(f"{m} {n} {budget} {out.tag.value} {out.reason} "
+                         f"{s.nodes} {s.forced} {s.max_depth}")
+            lines.extend(out.chain)
+    assert len(bench_graphs[5]) == 21
+    for config in (SearchConfig(max_solutions=1), SearchConfig(max_solutions=3),
+                   SearchConfig(budget=5)):
+        for g in bench_graphs[5]:
+            res = enumerate_tables(g, config)
+            s = res.stats
+            lines.append(f"{res.exhaustive} {res.budget_exceeded} "
+                         f"{s.nodes} {s.forced} {s.max_depth} {len(res.tables)}")
+            lines.extend(emit_table_csv(t) for t in res.tables)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "14ebedc1a5492065653b1500eb2c6be420c40c0547b56fcedaded86d4d9db8e3"
+    )
+
+
 def test_realize_fig3_ladder_past_the_recursion_limit():
     # the search runs on an explicit stack: depth 1003 and 1498 need no
     # recursion limit above the interpreter's default
