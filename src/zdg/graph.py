@@ -97,6 +97,8 @@ class LabeledGraph:
 
     def same_graph(self, other: "LabeledGraph") -> bool:
         """Same vertex set and edge set, whatever the vertex order."""
+        if self.vertices == other.vertices:
+            return self.masks == other.masks
         return set(self.vertices) == set(other.vertices) and self.edges() == other.edges()
 
     def __eq__(self, other: object) -> bool:

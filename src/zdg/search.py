@@ -20,6 +20,15 @@ cells, with every deduction recorded on an undo trail. Exhausting the tree
 without a solution is therefore a certificate of non-realizability,
 replayable deterministically under the recorded configuration.
 
+The drain and the initial sweep visit triples in a fixed order and call
+``_process_triple`` on each one unless that call provably changes nothing:
+its three outer products read the same (none evaluable, or all equal), or
+one reads k, every known inner product's outer product reads k, and every
+unknown inner cell (a,b) has only candidates w with w*c already k, c being
+the third element. Such a call would assign, prune and fail nothing, so
+skipping it leaves the table, the trail and every later call as they were,
+and with them every answer, counter, witness and chain.
+
 The search runs on an explicit stack of frames, one per decision, so its
 depth is bounded by the number of cells and not by the interpreter's
 recursion limit. Each step branches on the unassigned cell with the fewest
@@ -370,17 +379,40 @@ class SearchState:
     def _drain(self) -> bool:
         q = self._queue
         n = self.n
+        M, domains, val = self.M, self.domains, self.val
         process = self._process_triple
         while q:
             cid = q.popleft()
             i, j = divmod(cid, n)
+            v = M[cid]
+            i_n, j_n, v_n = i * n, j * n, v * n
+            # the triples (i, j, z), filtered as in the module docstring; t1 = v
             for z in range(1, n):
+                o1 = M[v_n + z]
+                t2, t3 = M[i_n + z], M[j_n + z]
+                if o1 < 0:
+                    if (t2 < 0 or M[t2 * n + j] < 0) and (t3 < 0 or M[t3 * n + i] < 0):
+                        continue
+                elif ((M[t2 * n + j] == o1 if t2 >= 0 else
+                       not domains[i_n + z if i <= z else z * n + i] & ~val[j_n + o1])
+                      and (M[t3 * n + i] == o1 if t3 >= 0 else
+                           not domains[j_n + z if j <= z else z * n + j] & ~val[i_n + o1])):
+                    continue
                 if not process(i, j, z):
                     q.clear()
                     return False
+            # the triples (p, q, third) with p*q = i or j, so o1 = i*j = v
             for value_elem, third in ((i, j), (j, i)):
+                t_n = third * n
                 for pq in list(self.cells_by_value[value_elem]):
                     pp, qq = divmod(pq, n)
+                    c2 = pp * n + third if pp <= third else t_n + pp
+                    c3 = qq * n + third if qq <= third else t_n + qq
+                    t2, t3 = M[c2], M[c3]
+                    if ((M[t2 * n + qq] == v if t2 >= 0 else not domains[c2] & ~val[qq * n + v])
+                            and (M[t3 * n + pp] == v if t3 >= 0
+                                 else not domains[c3] & ~val[pp * n + v])):
+                        continue
                     if not process(pp, qq, third):
                         q.clear()
                         return False
@@ -398,15 +430,34 @@ class SearchState:
         # cells, and each assignment succeeds
         for cid in sorted(self.buckets[1]):
             self._assign(cid, self.domains[cid].bit_length() - 1, ("init",))
-        if not self._drain():
-            return False
-        for p in range(1, self.n):
-            for q in range(p, self.n):
-                for r in range(q, self.n):
+        return self._drain() and self._sweep() and self._drain()
+
+    def _sweep(self) -> bool:
+        """Process every triple p <= q <= r once, skipping the provable no-ops.
+
+        The zeros of adjacent pairs are never queued, so the drain alone can
+        miss a triple that reads only them.
+        """
+        n = self.n
+        M, domains, val = self.M, self.domains, self.val
+        for p in range(1, n):
+            for q in range(p, n):
+                for r in range(q, n):
+                    t1, t2, t3 = M[p * n + q], M[p * n + r], M[q * n + r]
+                    o1 = M[t1 * n + r] if t1 >= 0 else UNKNOWN
+                    o2 = M[t2 * n + q] if t2 >= 0 else UNKNOWN
+                    o3 = M[t3 * n + p] if t3 >= 0 else UNKNOWN
+                    if o1 == o2 == o3:
+                        continue
+                    k = o1 if o1 >= 0 else o2 if o2 >= 0 else o3
+                    if ((o1 == k if t1 >= 0 else not domains[p * n + q] & ~val[r * n + k])
+                            and (o2 == k if t2 >= 0 else not domains[p * n + r] & ~val[q * n + k])
+                            and (o3 == k if t3 >= 0 else not domains[q * n + r] & ~val[p * n + k])):
+                        continue
                     if not self._process_triple(p, q, r):
                         self._queue.clear()
                         return False
-        return self._drain()
+        return True
 
     # --- search --------------------------------------------------------------------
 

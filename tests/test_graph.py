@@ -256,6 +256,23 @@ def test_accessors_match_name_set_model(small_connected_graphs):
             LabeledGraph(vertices, edges)
 
 
+def test_same_graph_in_and_out_of_vertex_order(small_connected_graphs):
+    # same_graph compares masks when the vertex orders agree, and edge sets
+    # otherwise: one moved edge is a different graph, a rotation the same
+    moved = 0
+    for g in small_connected_graphs:
+        edges = list(g.edges())
+        rotated = LabeledGraph(g.vertices[1:] + g.vertices[:1], edges)
+        assert rotated.same_graph(g) and g.same_graph(rotated)
+        missing = [(x, y) for i, x in enumerate(g.vertices) for y in g.vertices[i + 1:]
+                   if not g.has_edge(x, y)]
+        if missing:
+            other = LabeledGraph(g.vertices, edges[1:] + missing[:1])
+            assert not other.same_graph(g) and not g.same_graph(other)
+            moved += 1
+    assert moved == 771 - 4  # the complete graphs have no edge to move
+
+
 def test_core_requires_connected():
     with pytest.raises(InputError):
         core(LabeledGraph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]))

@@ -1,8 +1,10 @@
 import hashlib
+import itertools
 import sys
 
 import pytest
 
+from zdg import search
 from zdg.acceptance import brute_force_realizations
 from zdg.algebra import emit_table_csv, same_products, validate
 from zdg.errors import InputError
@@ -257,6 +259,93 @@ def test_early_exits_pinned(bench_graphs):
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "14ebedc1a5492065653b1500eb2c6be420c40c0547b56fcedaded86d4d9db8e3"
     )
+
+
+def test_explain_chains_pinned(census_graphs):
+    # README's "Determinism" for the order of work: a chain lists every forced
+    # cell in trail order with the triple that forced it; pinned by one digest
+    # on every connected graph with 6 and 7 vertices and on fig3(k,k,k,k), k <= 8
+    lines = []
+    for g in list(census_graphs) + [fig("fig3", m=k, n=k, u=k, v=k) for k in range(1, 9)]:
+        out = realize(g, SearchConfig(explain=True))
+        lines.append(out.tag.value)
+        lines.extend(out.chain)
+    assert len(lines) == 8781
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "6dc0b770475909bd6583cadd10d5e7a31e36899509c243a568a59ac3a4c8d115"
+    )
+
+
+def _reference_drain(state):
+    # the unfiltered drain: every triple of each queued cell is processed
+    q, n = state._queue, state.n
+    while q:
+        i, j = divmod(q.popleft(), n)
+        for z in range(1, n):
+            if not state._process_triple(i, j, z):
+                q.clear()
+                return False
+        for value_elem, third in ((i, j), (j, i)):
+            for pq in list(state.cells_by_value[value_elem]):
+                if not state._process_triple(*divmod(pq, n), third):
+                    q.clear()
+                    return False
+    return True
+
+
+def _reference_sweep(state):
+    for p, q, r in itertools.combinations_with_replacement(range(1, state.n), 3):
+        if not state._process_triple(p, q, r):
+            state._queue.clear()
+            return False
+    return True
+
+
+def test_triple_filter_skips_only_noops(bench_graphs, monkeypatch):
+    # the drain and the sweep skip only calls that would change nothing, so
+    # the unfiltered loops give the same outputs and leave the same trail
+    trails = []
+    run = search._run
+
+    def recording_run(*args):
+        out = run(*args)
+        trails.append(out[0] and list(out[0].trail))  # None if pre-screened
+        return out
+
+    def outputs():
+        records = []
+        for g in bench_graphs[5]:
+            res = enumerate_tables(g)
+            s = res.stats
+            records.append((res.exhaustive, s.nodes, s.forced, s.max_depth,
+                            [t.rows for t in res.tables], trails[-1]))
+        for m, n in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            out = realize(add_edge(fig("fig5", m=m, n=n, v=0), "x1", "x2"),
+                          SearchConfig(explain=True))
+            s = out.stats
+            records.append((out.tag, out.reason, s.nodes, s.forced, s.max_depth,
+                            out.chain, trails[-1]))
+        # the initial sweep changes nothing on these graphs; one assignment
+        # to an open cell, left undrained, gives it work
+        for g in bench_graphs[5]:
+            st = init_domains(g)
+            if st.failed_precheck or st.contradiction:
+                continue
+            for cid, v in itertools.product(sorted(set().union(*st.buckets)), range(st.n)):
+                if st.domains[cid] >> v & 1:
+                    mark = len(st.trail)
+                    st._assign(cid, v, ("external",))
+                    st._queue.clear()
+                    records.append((st._sweep(), st.contradiction, st.trail[mark:]))
+                    st._queue.clear()
+                    st._undo_to(mark)
+        return records
+
+    monkeypatch.setattr(search, "_run", recording_run)
+    engine = outputs()
+    monkeypatch.setattr(SearchState, "_drain", _reference_drain)
+    monkeypatch.setattr(SearchState, "_sweep", _reference_sweep)
+    assert outputs() == engine
 
 
 def test_realize_fig3_ladder_past_the_recursion_limit():
