@@ -56,7 +56,6 @@ from .search import (
     Outcome,
     RealizationOutcome,
     SearchConfig,
-    SearchState,
     enumerate_tables,
     init_domains,
     propagate,

@@ -18,7 +18,9 @@ triple, whenever one bracketing of the product becomes fully evaluable, the
 other bracketings are forced to agree, pruning domains and assigning forced
 cells, with every deduction recorded on an undo trail. Exhausting the tree
 without a solution is therefore a certificate of non-realizability,
-replayable deterministically under the recorded configuration.
+replayable deterministically under the recorded configuration. Every public
+way to a search state passes one gate, ``_gate``, which checks the input and
+runs the pre-screen; no state is built for a graph it refutes.
 
 The drain and the initial sweep visit triples in a fixed order and call
 ``_process_triple`` on each one unless that call provably changes nothing:
@@ -130,7 +132,7 @@ class EnumerationResult:
 
 
 class SearchState:
-    """Partial table, candidate domains (bitmasks) and the undo trail."""
+    """Partial table, bitmask domains and undo trail; built only behind ``_gate``."""
 
     def __init__(self, g: LabeledGraph, config: SearchConfig | None = None):
         self.g = g
@@ -177,7 +179,6 @@ class SearchState:
         self.cells_by_value: list[list[int]] = [[] for _ in range(n)]
         self._queue: deque[int] = deque()
         self.contradiction: str | None = None
-        self.failed_precheck: str | None = None
         self.nodes = 0
         self.forced = 0
         self.max_depth = 0
@@ -420,12 +421,6 @@ class SearchState:
 
     def initialize(self) -> bool:
         """Run the initial fixpoint; False means the graph died in propagation."""
-        if self.buckets[0]:
-            i, j = divmod(min(self.buckets[0]), self.n)
-            self.contradiction = (
-                f"cell ({self.names[i]},{self.names[j]}) has an empty initial domain"
-            )
-            return False
         # nothing is pruned before the drain, so these are the singleton
         # cells, and each assignment succeeds
         for cid in sorted(self.buckets[1]):
@@ -519,17 +514,30 @@ class SearchState:
 # --- public operations ---------------------------------------------------------
 
 
-def init_domains(g: LabeledGraph, config: SearchConfig | None = None) -> SearchState:
-    """Build the search state and run initial propagation to fixpoint.
+def _gate(g: LabeledGraph, config: SearchConfig) -> str | None:
+    """Check the input and pre-screen it: the failed condition's name, or None.
 
-    If the graph fails the necessary-conditions pre-screen the state is
-    returned with ``failed_precheck`` set and no search work done.
+    Behind this gate no initial domain is empty: the cover pre-check is exactly
+    the pair-domain cut, ``_covering`` of N(x) | N(y) for each non-adjacent
+    pair, and a square's domain holds x, as every neighbor u of x has x in N[u].
     """
-    state = SearchState(g, config)
+    if g.n < 2:
+        raise InputError("realization needs a graph with at least 2 vertices")
+    if not is_connected(g):
+        raise InputError("realization needs a connected graph")
+    if config.budget <= 0:
+        raise InputError("budget must be positive")
+    if config.max_solutions is not None and config.max_solutions < 1:
+        raise InputError("max_solutions must be >= 1")
     nc = necessary_conditions(g)
-    if not nc.passed:
-        state.failed_precheck = nc.failed[0]
-        return state
+    return None if nc.passed else nc.failed[0]
+
+
+def init_domains(g: LabeledGraph, config: SearchConfig | None = None) -> SearchState | None:
+    """The state after initial propagation, or None if ``realize``'s gate refutes g."""
+    if _gate(g, config or SearchConfig()):
+        return None
+    state = SearchState(g, config)
     state.initialize()
     return state
 
@@ -537,16 +545,15 @@ def init_domains(g: LabeledGraph, config: SearchConfig | None = None) -> SearchS
 def propagate(state: SearchState, cell: tuple[str, str], value: str) -> bool:
     """Assign cell := value and propagate; False reports a contradiction.
 
-    Re-assigning an already-known cell to the same value is a no-op. On a
-    refuted state (``contradiction`` or ``failed_precheck`` set) it answers
-    False at once and leaves ``contradiction`` as it is.
+    Re-assigning a known cell to the same value is a no-op. On a refuted
+    state it answers False at once and keeps ``contradiction`` as it is.
     """
     x, y = cell
     cid = state._cell_of(x, y)
     v = state.index.get(value)
     if v is None:
         raise InputError(f"unknown element {value!r}")
-    if state.contradiction or state.failed_precheck:
+    if state.contradiction:
         return False
     return state._assign(cid, v, ("external",)) and state._drain()
 
@@ -560,17 +567,8 @@ def _run(
     propagation refutes the graph. A graph the pre-screen refutes gets no
     state, zero stats, and the failed condition's name as its status.
     """
-    if g.n < 2:
-        raise InputError("realization needs a graph with at least 2 vertices")
-    if not is_connected(g):
-        raise InputError("realization needs a connected graph")
-    if config.budget <= 0:
-        raise InputError("budget must be positive")
-    if config.max_solutions is not None and config.max_solutions < 1:
-        raise InputError("max_solutions must be >= 1")
-    nc = necessary_conditions(g)
-    if not nc.passed:
-        return None, nc.failed[0], SearchStats(0, 0, 0, 0.0)
+    if failed := _gate(g, config):
+        return None, failed, SearchStats(0, 0, 0, 0.0)
     t0 = time.perf_counter()
     state = SearchState(g, config)
     status = state._search(limit) if state.initialize() else "done"
@@ -585,11 +583,12 @@ def realize(g: LabeledGraph, config: SearchConfig | None = None) -> RealizationO
     if state is None:
         reason = f"necessary-conditions:{status}"
         return RealizationOutcome(Outcome.UNREALIZABLE, None, stats, reason=reason)
-    if status == "budget":
-        return RealizationOutcome(Outcome.BUDGET_EXCEEDED, None, stats, reason="budget exhausted")
+    # a budget trip leaves the open decisions and what they forced on the trail
     chain = state.explain_chain() if config.explain else ()
     if status == "limit":
         return RealizationOutcome(Outcome.REALIZED, state.solutions[0], stats, chain=chain)
+    if status == "budget":
+        return RealizationOutcome(Outcome.BUDGET_EXCEEDED, None, stats, "budget exhausted", chain)
     # only a refutation in initial propagation leaves a contradiction standing
     reason = "exhausted"
     if state.contradiction:

@@ -73,6 +73,19 @@ def small_connected_graphs():
     return graphs
 
 
+def _workloads():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH))
+        import workloads
+    return workloads
+
+
+def _on_v(n, edges):
+    """The graph on the vertices v1..vn with the 0-based ``edges``."""
+    names = [f"v{i + 1}" for i in range(n)]
+    return LabeledGraph(names, [(names[i], names[j]) for i, j in edges])
+
+
 @pytest.fixture(scope="session")
 def bench_graphs():
     """The connected graphs pinned in bench/data/graphs.txt, as {n: [graph]}.
@@ -80,17 +93,19 @@ def bench_graphs():
     One graph per isomorphism class (21, 112 and 853 on 5, 6 and 7
     vertices), on the vertices v1..vn.
     """
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(BENCH))
-        import workloads
+    by_n = _workloads().load_graphs()
+    return {n: [_on_v(n, edges) for _, edges, _ in pinned] for n, pinned in by_n.items()}
 
-        by_n = workloads.load_graphs()
-    graphs = {}
-    for n, pinned in by_n.items():
-        names = [f"v{i + 1}" for i in range(n)]
-        graphs[n] = [LabeledGraph(names, [(names[i], names[j]) for i, j in edges])
-                     for _, edges, _ in pinned]
-    return graphs
+
+@pytest.fixture(scope="session")
+def sweep_graphs():
+    """The graphs on which the initial sweep still acts after the first drain.
+
+    9 of the 11,117 connected graphs on 8 vertices, keyed by graph6 code.
+    """
+    codes = "G{f~?G G}JnGC G~zV_C GrzkOG Gr`nGC G{f}gC G}j_NG G}j_MG G}jcI?".split()
+    decode = _workloads().decode_graph6
+    return {code: _on_v(*decode(code)) for code in codes}
 
 
 @pytest.fixture(scope="session")

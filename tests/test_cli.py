@@ -6,6 +6,7 @@ from pathlib import Path
 
 from zdg.algebra import parse_table_csv, same_products
 from zdg.cli import _make_parser, main
+from zdg.search import Outcome
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -91,9 +92,16 @@ def test_realize_writes_witness(tmp_path, capsys):
 def test_realize_budget_exit_code(tmp_path, capsys):
     graph_path = tmp_path / "g.graph"
     run(capsys, "gen", "kn2", "--n", "4", "--out-graph", str(graph_path))
-    code, out, _ = run(capsys, "realize", str(graph_path), "--budget", "1")
+    code, out, _ = run(capsys, "realize", str(graph_path), "--budget", "1", "--explain")
     assert code == 2
     assert "outcome: budget-exceeded" in out
+    # the chain of a budget trip is the trail as it stands: the open
+    # decisions and what they forced
+    assert [line for line in out.splitlines() if line.startswith("chain:")] == [
+        "chain: x1*y2 = x1  (only candidate left by the neighborhood cuts)",
+        "chain: x2*y1 = x2  (only candidate left by the neighborhood cuts)",
+        "chain: x1*x1 = 0  (decision at depth 0)",
+    ]
 
 
 def test_realize_deep_ladder_graph_from_a_pipe():
@@ -255,6 +263,18 @@ def test_reproduce_single_criterion(capsys):
     assert "criterion  1 [PASS]" in out
     code, _, err = run(capsys, "reproduce", "--only", "11")
     assert code == 3
+
+
+def test_readme_library_block_runs():
+    # README's "Library" block runs as written, so it cannot import a name
+    # that zdg no longer exports
+    section = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    block = section.split("```python", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    assert scope["out"].tag is Outcome.REALIZED and scope["out"].witness is not None
+    assert scope["report"].failures() == ()
+    assert scope["state"].contradiction is None
 
 
 def test_readme_command_lines_parse():

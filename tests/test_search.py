@@ -65,27 +65,39 @@ def test_init_domains_keeps_the_callers_config(kn2_graph):
 
 def test_init_short_circuits_on_failed_prescreen():
     c5 = LabeledGraph(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "e")])
-    st = init_domains(c5)
-    assert st.failed_precheck == "core"
+    assert init_domains(c5) is None
+
+
+def test_init_domains_gates_like_realize(small_connected_graphs, census_graphs):
+    # one gate: init_domains builds no state exactly where realize answers
+    # from the pre-screen, and both reject bad input with the same message
+    for g in list(small_connected_graphs) + list(census_graphs):
+        prescreened = (realize(g).reason or "").startswith("necessary-conditions")
+        assert (init_domains(g) is None) == prescreened, g.edges()
+    one = LabeledGraph(["a"], [])
+    two_parts = LabeledGraph(list("abcd"), [("a", "b"), ("c", "d")])
+    for g, config in ((one, None), (two_parts, None), (K2, SearchConfig(budget=0)),
+                      (K2, SearchConfig(max_solutions=0))):
+        with pytest.raises(InputError) as expected:
+            realize(g, config)
+        with pytest.raises(InputError) as got:
+            init_domains(g, config)
+        assert str(got.value) == str(expected.value)
 
 
 # --- propagate ------------------------------------------------------------------
 
 
 def test_prescreen_failure_implies_empty_initial_domain(small_connected_graphs, census_graphs):
-    # every pre-check refutation on <= 7 vertices is also an empty domain
-    # of the search's neighborhood cuts, found before any cell is forced
+    # on <= 7 vertices the pre-screen fails exactly where a neighborhood cut
+    # leaves an empty initial domain; behind the gate no state has one
     refuted = 0
     for g in list(small_connected_graphs) + list(census_graphs):
         nc = necessary_conditions(g)
-        if nc.passed:
-            continue
-        refuted += 1
-        st = SearchState(g)
-        assert not st.initialize(), g.edges()
-        assert st.forced == 0
-        assert st.contradiction.endswith("has an empty initial domain")
-        assert nc.diameter_le_3 or not nc.cover_ok
+        assert bool(SearchState(g).buckets[0]) == (not nc.passed), g.edges()
+        if not nc.passed:
+            refuted += 1
+            assert nc.diameter_le_3 or not nc.cover_ok
     assert refuted == 677  # 132 labeled graphs on 2-5 vertices, 545 classes on 6-7
 
 
@@ -120,10 +132,6 @@ def test_propagate_on_a_refuted_state_fails_at_once():
     assert not propagate(st, ("v6", "v6"), "0")
     assert st.contradiction == "associativity fails on (v4,v5,v6)"
     assert st.trail == trail
-    c5 = LabeledGraph(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "e")])
-    st = init_domains(c5)
-    assert st.failed_precheck and not propagate(st, ("a", "c"), "b")
-    assert st.contradiction is None
 
 
 def test_cap_over_clique_dies_quickly(kn2_graph):
@@ -257,7 +265,7 @@ def test_early_exits_pinned(bench_graphs):
                          f"{s.nodes} {s.forced} {s.max_depth} {len(res.tables)}")
             lines.extend(emit_table_csv(t) for t in res.tables)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "14ebedc1a5492065653b1500eb2c6be420c40c0547b56fcedaded86d4d9db8e3"
+        "b941a8cf9e97581d8752a029d375922c23bd87634352577f4e1f7837bd1dd94b"
     )
 
 
@@ -301,7 +309,7 @@ def _reference_sweep(state):
     return True
 
 
-def test_triple_filter_skips_only_noops(bench_graphs, monkeypatch):
+def test_triple_filter_skips_only_noops(bench_graphs, sweep_graphs, monkeypatch):
     # the drain and the sweep skip only calls that would change nothing, so
     # the unfiltered loops give the same outputs and leave the same trail
     trails = []
@@ -325,11 +333,17 @@ def test_triple_filter_skips_only_noops(bench_graphs, monkeypatch):
             s = out.stats
             records.append((out.tag, out.reason, s.nodes, s.forced, s.max_depth,
                             out.chain, trails[-1]))
-        # the initial sweep changes nothing on these graphs; one assignment
-        # to an open cell, left undrained, gives it work
+        # on these graphs the initial sweep acts after the first drain
+        for g, pruning in itertools.product(sweep_graphs.values(), (True, False)):
+            res = enumerate_tables(g, SearchConfig(lemma21_pruning=pruning))
+            s = res.stats
+            records.append((s.nodes, s.forced, s.max_depth, [t.rows for t in res.tables],
+                            trails[-1]))
+        # the initial sweep changes nothing on the 5-vertex graphs; one
+        # assignment to an open cell, left undrained, gives it work
         for g in bench_graphs[5]:
             st = init_domains(g)
-            if st.failed_precheck or st.contradiction:
+            if st is None or st.contradiction:
                 continue
             for cid, v in itertools.product(sorted(set().union(*st.buckets)), range(st.n)):
                 if st.domains[cid] >> v & 1:
@@ -346,6 +360,26 @@ def test_triple_filter_skips_only_noops(bench_graphs, monkeypatch):
     monkeypatch.setattr(SearchState, "_drain", _reference_drain)
     monkeypatch.setattr(SearchState, "_sweep", _reference_sweep)
     assert outputs() == engine
+
+
+def test_initial_sweep_acts_after_the_first_drain(sweep_graphs, monkeypatch):
+    # the known inner cells of (v1,v8,v8) are adjacency zeros, which are
+    # never queued, so only the sweep prunes v1 from v8*v8 and assigns it
+    swept = []
+    sweep = SearchState._sweep
+
+    def recording_sweep(state):
+        mark = len(state.trail)
+        ok = sweep(state)
+        swept.append(state.trail[mark:])
+        return ok
+
+    monkeypatch.setattr(SearchState, "_sweep", recording_sweep)
+    st = init_domains(sweep_graphs["G{f~?G"])
+    cid, v1 = st._cell_of("v8", "v8"), st.index["v1"]
+    reason = ("triple", v1, st.index["v8"], st.index["v8"])
+    assert swept == [[("P", cid, 1 << v1, reason), ("A", cid, reason)]]
+    assert st.contradiction is None and st.value_of("v8", "v8") == "v8"
 
 
 def test_realize_fig3_ladder_past_the_recursion_limit():
