@@ -56,7 +56,6 @@ class ValidationReport:
     zero_ok: bool
     associative: bool
     first_failure: AssociativityFailure | None
-    failures: tuple[AssociativityFailure, ...] | None = None
 
     @property
     def ok(self) -> bool:
@@ -154,19 +153,17 @@ def same_products(t1: CayleyTable, t2: CayleyTable) -> bool:
 # --- validation ----------------------------------------------------------
 
 
-def validate(table: CayleyTable, all_failures: bool = False) -> ValidationReport:
+def validate(table: CayleyTable) -> ValidationReport:
     """Exhaustively check commutativity, zero absorption and associativity.
 
-    The associativity scan visits all n^3 triples in lexicographic order;
-    ``first_failure`` is the least failing triple. With ``all_failures`` the
-    full failure list is gathered instead of stopping at the first.
+    The associativity scan visits all n^3 triples in lexicographic order and
+    stops at the first failure, so ``first_failure`` is the least failing
+    triple.
     """
     rows = table.rows
     n = table.order
     commutative = all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i + 1, n))
     zero_ok = all(rows[0][j] == 0 and rows[j][0] == 0 for j in range(n))
-    first: AssociativityFailure | None = None
-    failures: list[AssociativityFailure] = []
     for i in range(n):
         ri = rows[i]
         for j in range(n):
@@ -178,19 +175,8 @@ def validate(table: CayleyTable, all_failures: bool = False) -> ValidationReport
                 right = ri[rj[k]]
                 if left != right:
                     fail = AssociativityFailure(i, j, k, left, right)
-                    if first is None:
-                        first = fail
-                    if not all_failures:
-                        return ValidationReport(commutative, zero_ok, False, first)
-                    failures.append(fail)
-    associative = first is None
-    return ValidationReport(
-        commutative,
-        zero_ok,
-        associative,
-        first,
-        tuple(failures) if all_failures else None,
-    )
+                    return ValidationReport(commutative, zero_ok, False, fail)
+    return ValidationReport(commutative, zero_ok, True, None)
 
 
 # --- algebraic predicates ------------------------------------------------

@@ -3,8 +3,9 @@
 Everything here is a pure function over immutable :class:`LabeledGraph`
 values: distances, the cycle core, cap sets C(a,b), end-vertex sets T_a,
 the split {a,b} | C(a,b) | B | L induced by a witness, the four
-realizability pre-checks, family recognizers and a small exact isomorphism
-and automorphism routine.
+realizability pre-checks, family recognizers, a small exact isomorphism
+and automorphism routine, and the relabeling of a table along a vertex
+mapping.
 """
 from __future__ import annotations
 
@@ -348,7 +349,6 @@ class StructurePartition:
     b1: frozenset[str]
     b2: frozenset[str]
     violations: tuple[str, ...]
-    notes: tuple[str, ...]
 
 
 def partition(g: LabeledGraph, w: DeltaWitness) -> StructurePartition:
@@ -386,7 +386,6 @@ def partition(g: LabeledGraph, w: DeltaWitness) -> StructurePartition:
     l_mask = layers[3]
     ab, b_set, l_set = names(ab_mask), names(b_mask), names(l_mask)
     violations: list[str] = []
-    notes: list[str] = []
     for v in _bits((1 << g.n) - 1 & ~(ab_mask | cap_mask | b_mask | l_mask)):
         violations.append(f"vertex {g.vertices[v]} is neither in {{a,b}}, C(a,b), B nor L")
     t_a = frozenset(t_set(g, w.a))
@@ -407,12 +406,9 @@ def partition(g: LabeledGraph, w: DeltaWitness) -> StructurePartition:
     for v in by_name(b1_mask):
         if not masks[v] & b_mask:
             violations.append(f"B1-vertex {name[v]} has no neighbor inside B")
-    for v in by_name(b2_mask):
-        if masks[v] & b_mask:
-            notes.append(f"B2-vertex {name[v]} is also adjacent to another B-vertex")
     return StructurePartition(
         ab, frozenset(caps), b_set, l_set, t_a, t_b, names(b1_mask), names(b2_mask),
-        tuple(violations), tuple(notes),
+        tuple(violations),
     )
 
 
@@ -612,6 +608,28 @@ def isomorphisms(g1: LabeledGraph, g2: LabeledGraph) -> Iterator[dict[str, str]]
 def is_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     """Exact isomorphism test (16 vertices at most)."""
     return next(isomorphisms(g1, g2), None) is not None
+
+
+def relabel_table(table: CayleyTable, mapping: dict[str, str]) -> CayleyTable:
+    """Carry ``table`` along the renaming ``mapping`` of its nonzero elements.
+
+    Names missing from ``mapping`` keep their name. When the new names are
+    the old ones permuted, the result keeps the source's name order;
+    otherwise element i of the result is the image of element i of the source.
+    """
+    unknown = set(mapping) - set(table.names[1:])
+    if unknown:
+        raise InputError(f"relabeling names no nonzero element: {sorted(unknown)}")
+    new = [mapping.get(x, x) for x in table.names]
+    if len(set(new)) != len(new):
+        raise InputError("relabeling is not injective")
+    if set(new) != set(table.names):
+        return CayleyTable(new, table.rows)
+    src = [new.index(x) for x in table.names]  # preimage of each name
+    image = [table.index(x) for x in new]
+    return CayleyTable(
+        table.names, [[image[table.rows[i][j]] for j in src] for i in src]
+    )
 
 
 # --- file formats ---------------------------------------------------------

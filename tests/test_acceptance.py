@@ -12,22 +12,34 @@ parts that hold. See README, "Acceptance suite".
 """
 import pytest
 
-from zdg.acceptance import Corpus, CRITERIA, criterion_5_parts, relabel_table
+from zdg import acceptance
+from zdg.acceptance import Corpus, criterion_5_parts, run_acceptance
 from zdg.algebra import validate
 from zdg.errors import InputError
 from zdg.families import FamilySpec, add_end, generate_graph, generate_table
-from zdg.graph import zero_divisor_graph
+from zdg.graph import relabel_table, zero_divisor_graph
 from zdg.search import Outcome, realize
 
 
 @pytest.fixture(scope="module")
 def results():
-    corpus = Corpus()
-    out = {}
-    for i, criterion in enumerate(CRITERIA, start=1):
-        out[i] = criterion(corpus)
-    out["corpus"] = corpus
-    return out
+    return {r.number: r for r in run_acceptance()}
+
+
+def test_run_acceptance_reads_criteria_at_call_time_and_reports_crashes(monkeypatch):
+    # bench/spans.py swaps in wrapped criteria; bench's judge keys on "crashed"
+    def crash(corpus):
+        raise ValueError("planted")
+
+    def check(corpus):
+        return True, f"{len(corpus.witnesses)} witnesses"
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (crash,) + (check,) * 9)
+    crashed, fine = acceptance.run_acceptance([1, 2])
+    assert (crashed.number, crashed.passed) == (1, False)
+    assert crashed.detail == "crashed: ValueError('planted')"
+    assert (fine.number, fine.name, fine.passed) == (2, "extension sweep", True)
+    assert fine.line().startswith("criterion  2 [PASS] extension sweep: 0 witnesses (")
 
 
 def _report(result):

@@ -49,13 +49,19 @@ def test_validate_detects_broken_associativity(table6):
     assert left == fail.left and right == fail.right and left != right
 
 
-def test_validate_all_failures_flag(table6):
+def test_validate_first_failure_is_the_least_failing_triple(table6):
     mutated = table6.with_cell("y1", "y2", "b")
-    report = validate(mutated, all_failures=True)
-    assert report.failures
-    assert report.first_failure == report.failures[0]
-    # lexicographically least failing triple comes first
-    assert min(report.failures, key=lambda f: (f.i, f.j, f.k)) == report.first_failure
+    rows = mutated.rows
+    n = mutated.order
+    least = next(
+        (i, j, k, rows[rows[i][j]][k], rows[i][rows[j][k]])
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+        if rows[rows[i][j]][k] != rows[i][rows[j][k]]
+    )
+    fail = validate(mutated).first_failure
+    assert (fail.i, fail.j, fail.k, fail.left, fail.right) == least
 
 
 def test_validate_is_deterministic(table5):

@@ -31,3 +31,39 @@ def test_tracer_install_and_uninstall_restore_every_name(monkeypatch):
         assert now.keys() == snapshot.keys(), owner
         for attr, value in snapshot.items():
             assert now[attr] is value, (owner, attr)
+
+
+def test_traced_acceptance_run_keeps_each_criterion_work_in_its_span(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    tracer = spans.Tracer()
+    try:
+        tracer.install(zdg)
+        results = zdg.acceptance.run_acceptance([1, 2, 3, 10])
+    finally:
+        tracer.uninstall()
+    assert [(r.number, r.passed) for r in results] == [(n, True) for n in (1, 2, 3, 10)]
+    criterion_span = {}
+    for k, span in enumerate(tracer.spans):
+        name = span[spans.NAME]
+        if name.startswith("acceptance.criterion_"):
+            number = int(name.rpartition("_")[2])
+            assert number not in criterion_span, name
+            criterion_span[number] = k
+    assert sorted(criterion_span) == [1, 2, 3, 10]
+
+    def parents(name, caller="acceptance"):
+        return [
+            s[spans.PARENT] for s in tracer.spans
+            if s[spans.NAME] == name and s[spans.CALLER] == caller
+        ]
+
+    # one generate_table and one generate_graph per sweep spec, both inside
+    # criterion 2 although the corpus builds the tables
+    generated = parents("families.generate")
+    assert generated.count(criterion_span[2]) == 2 * len(zdg.acceptance.sweep_specs()) == 494
+    realized = parents("search.realize")
+    assert realized and set(realized) == {criterion_span[3]}
+    screened = parents("graph.prescreen")
+    assert screened and set(screened) == {criterion_span[10]}

@@ -9,7 +9,7 @@ from zdg.acceptance import brute_force_realizations
 from zdg.algebra import emit_table_csv, same_products, validate
 from zdg.errors import InputError
 from zdg.families import FamilySpec, add_cap, add_edge, add_end, generate_graph
-from zdg.graph import LabeledGraph, necessary_conditions, zero_divisor_graph
+from zdg.graph import LabeledGraph, necessary_conditions, relabel_table, zero_divisor_graph
 from zdg.search import (
     Outcome,
     SearchConfig,
@@ -438,8 +438,6 @@ def test_enumeration_unique_up_to_relabeling(kn2_graph, table6):
     assert any(same_products(t, table6) for t in res.tables)
     # the labeled solution set is closed under the graph's a<->b twin swap
     swap = {"a": "b", "b": "a", "x1": "x1", "x2": "x2", "y1": "y1", "y2": "y2"}
-    from zdg.acceptance import relabel_table
-
     twisted = {relabel_table(t, swap).rows for t in res.tables}
     assert twisted == {t.rows for t in res.tables}
 
@@ -466,15 +464,28 @@ def test_enumerate_lists_twin_swapped_tables():
     assert {t.rows for t in on.tables} == {t.rows for t in off.tables}
 
 
-def test_pruning_switches_never_change_answers(small_connected_graphs):
+def test_pruning_switches_never_change_answers(
+    small_connected_graphs, census_graphs, bench_graphs
+):
     small = small_connected_graphs
     assert len(small) == 771  # connected labeled graphs on 2..5 vertices
     for g in small:
         tags = {realize(g, SearchConfig(lemma21_pruning=p)).tag for p in (True, False)}
         assert len(tags) == 1, (g.vertices, list(g.edges()), tags)
+    # the 965 graphs on 6 and 7 vertices: same verdict, and a witness found
+    # without the pruning is as sound as one found with it
+    assert len(census_graphs) == 965
+    for g in census_graphs:
+        on = realize(g, SearchConfig(lemma21_pruning=True))
+        off = realize(g, SearchConfig(lemma21_pruning=False))
+        assert on.tag == off.tag, (g.vertices, list(g.edges()), on.tag, off.tag)
+        if off.witness is not None:
+            assert validate(off.witness).ok
+            assert zero_divisor_graph(off.witness).same_graph(g)
     tiny = [g for g in small if g.n <= 4]
     assert len(tiny) == 43
-    for g in tiny:
+    assert len(bench_graphs[5]) == 21
+    for g in tiny + bench_graphs[5]:
         on = enumerate_tables(g, SearchConfig(lemma21_pruning=True))
         off = enumerate_tables(g, SearchConfig(lemma21_pruning=False))
         assert on.exhaustive and off.exhaustive

@@ -147,12 +147,75 @@ def test_report_serialization_is_stable(table6):
     assert any(" holds" in line for line in lines)
 
 
-def test_failing_claim_reported():
+FIG3 = "fig3_2_2_1_2"
+W_AB = (DeltaWitness("a", "b", "y1", "v1"),)
+W_BA = (DeltaWitness("b", "a", "y1", "v1"),)
+
+# claim: (table, planted cells x*y := z, checker, its arguments, the failing line).
+# Every planted table keeps its zero-divisor graph, so the witness stays valid.
+PLANTED = {
+    "lemma_2_1": (
+        FIG3, [("y1", "y1", "0")], check_lemma_2_1, (),
+        "CLAIM lemma_2_1[x=y1] applicable fails d(y1,v1)=3 and y1*y1=0",
+    ),
+    "prop_2_2.1": (
+        FIG3, [("u1", "u1", "a")], check_prop_2_2, ("a",),
+        "CLAIM prop_2_2.1[b=a] applicable fails u1*u1=a",
+    ),
     # x1*y2 = a pushes a product out of the ideal {0, x1}
-    table = load_golden_table("kn2_4").with_cell("x1", "y2", "a")
-    part2 = _by_claim(check_prop_2_2(table, "x1"), "prop_2_2.2")[0]
-    assert part2.applicable and part2.holds is False
-    assert part2.line() == "CLAIM prop_2_2.2[b=x1] applicable fails x1*y2=a"
+    "prop_2_2.2": (
+        "kn2_4", [("x1", "y2", "a")], check_prop_2_2, ("x1",),
+        "CLAIM prop_2_2.2[b=x1] applicable fails x1*y2=a",
+    ),
+    "thm_2_4.ideal_0ab": (
+        FIG3, [("a", "a", "d")], check_thm_2_4, W_AB,
+        "CLAIM thm_2_4.ideal_0ab[witness=(a,b,y1,v1)] applicable fails a*a=d",
+    ),
+    "thm_2_4.ideal_complement": (
+        FIG3, [("a", "a", "y1")], check_thm_2_4, W_AB,
+        "CLAIM thm_2_4.ideal_complement[witness=(a,b,y1,v1)] applicable fails a*a=y1",
+    ),
+    "thm_2_4.l_closed": (
+        FIG3, [("v1", "v1", "a")], check_thm_2_4, W_AB,
+        "CLAIM thm_2_4.l_closed[witness=(a,b,y1,v1)] applicable fails v1*v1=a",
+    ),
+    "thm_2_4.case1_ideal": (
+        FamilySpec("fig5", m=2, n=2, v=0), [("a", "a", "c1")], check_thm_2_4,
+        (DeltaWitness("a", "b", "c1", "y1"),),
+        "CLAIM thm_2_4.case1_ideal[witness=(a,b,c1,y1)] applicable fails a*a=c1",
+    ),
+    "thm_2_4.case2_subsemigroup": (
+        FIG3, [("a", "a", "y1")], check_thm_2_4, W_BA,
+        "CLAIM thm_2_4.case2_subsemigroup[witness=(b,a,y1,v1)] applicable fails a*a=y1",
+    ),
+    "thm_2_6": (
+        FIG3, [("a", "a", "d")], check_thm_2_6, W_BA,
+        "CLAIM thm_2_6[witness=(b,a,y1,v1)] applicable fails a*a=d",
+    ),
+    "prop_2_8": (
+        FIG3, [("a", "a", "y1"), ("a", "v1", "y2")], check_prop_2_8, W_BA,
+        "CLAIM prop_2_8[witness=(b,a,y1,v1)] applicable fails no cap works",
+    ),
+}
+
+
+@pytest.mark.parametrize("claim", PLANTED)
+def test_planted_violation_fails_its_claim(claim):
+    # run_all refuses these tables (they are not associative), so each
+    # claim's own checker is called
+    base, cells, check, args, line = PLANTED[claim]
+    table = load_golden_table(base) if isinstance(base, str) else generate_table(base)
+    planted = table
+    for x, y, z in cells:
+        planted = planted.with_cell(x, y, z)
+    assert zero_divisor_graph(planted).same_graph(zero_divisor_graph(table))
+    [bad] = [c for c in check(planted, *args).checks if c.line() == line]
+    assert bad.claim == claim and bad.applicable and bad.holds is False
+    # the same claim holds on the table the violation was planted in
+    [good] = [
+        c for c in check(table, *args).checks if (c.claim, c.subject) == (claim, bad.subject)
+    ]
+    assert good.applicable and good.holds, good.line()
 
 
 def test_theorem_output_pinned():
