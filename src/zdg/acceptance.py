@@ -23,6 +23,7 @@ from importlib import resources
 from typing import Callable, Iterable
 
 from .algebra import CayleyTable, ZERO_NAME, parse_table_csv, same_products, validate
+from .errors import InputError
 from .families import FamilySpec, add_cap, add_edge, add_end, generate_graph, generate_table
 from .graph import (
     LabeledGraph,
@@ -78,10 +79,13 @@ def sweep_specs() -> list[FamilySpec]:
 
 
 def brute_force_realizations(g: LabeledGraph) -> set[tuple[tuple[int, ...], ...]]:
-    """Independent oracle: try every filling of every unknown cell.
+    """Independent oracle: every commutative table with an absorbing 0 and
+    g's zero pattern, kept if it is associative.
 
-    Filters by graph exactness and a direct associativity scan; shares no
-    code with the search engine.
+    An edge's cell is 0, a non-adjacent pair's cell is nonzero, and a square
+    may be anything. Row and column 0 are 0, so a triple with a 0 operand
+    always associates and only nonzero triples are scanned. Shares no code
+    with the search engine.
     """
     names = [ZERO_NAME] + list(g.vertices)
     n = len(names)
@@ -89,38 +93,15 @@ def brute_force_realizations(g: LabeledGraph) -> set[tuple[tuple[int, ...], ...]
     adj = [[False] * n for _ in range(n)]
     for x, y in g.edges():
         adj[idx[x]][idx[y]] = adj[idx[y]][idx[x]] = True
-    cells = [
-        (i, j) for i in range(1, n) for j in range(i, n) if not (i < j and adj[i][j])
-    ]
+    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+    choices = [range(n) if i == j else (0,) if adj[i][j] else range(1, n) for i, j in cells]
+    nonzero = range(1, n)
     solutions = set()
-    for values in itertools.product(range(n), repeat=len(cells)):
+    for values in itertools.product(*choices):
         P = [[0] * n for _ in range(n)]
         for (i, j), v in zip(cells, values):
             P[i][j] = P[j][i] = v
-        ok = True
-        for i in range(1, n):
-            for j in range(i + 1, n):
-                if (P[i][j] == 0) != adj[i][j]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        for i in range(n):
-            if not ok:
-                break
-            Pi = P[i]
-            for j in range(n):
-                if not ok:
-                    break
-                row_ij = P[Pi[j]]
-                Pj = P[j]
-                for k in range(n):
-                    if row_ij[k] != Pi[Pj[k]]:
-                        ok = False
-                        break
-        if ok:
+        if all(P[P[i][j]][k] == P[i][P[j][k]] for i in nonzero for j in nonzero for k in nonzero):
             solutions.add(tuple(tuple(row) for row in P))
     return solutions
 
@@ -421,9 +402,14 @@ def run_acceptance(
     """Run the requested criteria (all by default) in order, sharing a corpus.
 
     This is the one place a criterion is timed, and a criterion that raises
-    is reported as a failed one.
+    is reported as a failed one. A number outside ``1..len(CRITERIA)``
+    raises :class:`InputError`.
     """
-    wanted = set(numbers) if numbers is not None else set(range(1, 11))
+    count = len(CRITERIA)
+    wanted = list(range(1, count + 1)) if numbers is None else list(numbers)
+    bad = [k for k in wanted if not 1 <= k <= count]
+    if bad:
+        raise InputError(f"no such criterion: {bad}")
     corpus = Corpus()
     results = []
     for number, (name, criterion) in enumerate(zip(NAMES, CRITERIA), start=1):

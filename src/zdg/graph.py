@@ -495,23 +495,19 @@ def _is_path(g: LabeledGraph) -> bool:
     return _is_tree(g) and all(g.degree(v) <= 2 for v in g.vertices)
 
 
-def _complete_bipartite_sides(g: LabeledGraph) -> tuple[set[str], set[str]] | None:
-    """The two sides, read off the parity of the BFS layers, or None."""
+def _is_complete_bipartite(g: LabeledGraph) -> bool:
+    """Whether g is complete bipartite, read off the parity of the BFS layers."""
     if g.n < 2 or not is_connected(g):
-        return None
+        return False
     adj = g.masks
     layers = _layers(adj, 0)
     even, odd = sum(layers[0::2]), sum(layers[1::2])
-    if any(adj[v] != odd for v in _bits(even)) or any(adj[v] != even for v in _bits(odd)):
-        return None
-    return {g.vertices[v] for v in _bits(even)}, {g.vertices[v] for v in _bits(odd)}
+    return all(adj[v] == odd for v in _bits(even)) and all(adj[v] == even for v in _bits(odd))
 
 
-def _fan_center(g: LabeledGraph) -> str | None:
-    for c in sorted(g.vertices):
-        if g.degree(c) == g.n - 1 and _is_path(_without_vertex(g, c)):
-            return c
-    return None
+def _fan_centers(g: LabeledGraph) -> list[str]:
+    """Every vertex adjacent to all others whose removal leaves a path."""
+    return [c for c in g.vertices if g.degree(c) == g.n - 1 and _is_path(_without_vertex(g, c))]
 
 
 def _without_vertex(g: LabeledGraph, v: str) -> LabeledGraph:
@@ -524,7 +520,7 @@ def classify_special(g: LabeledGraph) -> str:
 
     Checks, in order: star, two-star, complete bipartite, complete bipartite
     with a thorn, triangle with up to three thorns, fan, fan with a thorn at
-    the center. Returns the first matching tag, or "none".
+    one of its centers. Returns the first matching tag, or "none".
     """
     if g.n == 0 or not is_connected(g):
         return "none"
@@ -534,12 +530,10 @@ def classify_special(g: LabeledGraph) -> str:
             return "star"
         if len(hubs) == 2 and g.has_edge(*hubs):
             return "two-star"
-    sides = _complete_bipartite_sides(g)
-    if sides:
+    if _is_complete_bipartite(g):
         return "complete-bipartite"
-    for w in sorted(g.end_vertices()):
-        if _complete_bipartite_sides(_without_vertex(g, w)):
-            return "complete-bipartite-with-thorn"
+    if any(_is_complete_bipartite(_without_vertex(g, w)) for w in g.end_vertices()):
+        return "complete-bipartite-with-thorn"
     hubs = sorted(v for v in g.vertices if g.degree(v) >= 2)
     if 3 <= g.n <= 6 and len(hubs) == 3:
         a, b, c = hubs
@@ -549,12 +543,10 @@ def classify_special(g: LabeledGraph) -> str:
                 len([t for t in thorns if g.has_edge(t, h)]) <= 1 for h in hubs
             ):
                 return f"triangle-{len(thorns)}-thorns"
-    if _fan_center(g) is not None:
+    if _fan_centers(g):
         return "fan"
-    for w in sorted(g.end_vertices()):
-        rest = _without_vertex(g, w)
-        center = _fan_center(rest)
-        if center is not None and g.has_edge(w, center):
+    for w in g.end_vertices():
+        if any(g.has_edge(w, c) for c in _fan_centers(_without_vertex(g, w))):
             return "fan-with-thorn"
     return "none"
 

@@ -42,6 +42,15 @@ def test_run_acceptance_reads_criteria_at_call_time_and_reports_crashes(monkeypa
     assert fine.line().startswith("criterion  2 [PASS] extension sweep: 0 witnesses (")
 
 
+def test_run_acceptance_rejects_unknown_criteria(monkeypatch):
+    with pytest.raises(InputError, match=r"no such criterion: \[11, 0\]"):
+        run_acceptance([11, 0])
+    # the count of criteria is read at call time
+    monkeypatch.setattr(acceptance, "CRITERIA", acceptance.CRITERIA[:9])
+    with pytest.raises(InputError, match=r"no such criterion: \[10\]"):
+        run_acceptance([10])
+
+
 def _report(result):
     print(result.line())
     return result

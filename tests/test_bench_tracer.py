@@ -40,10 +40,10 @@ def test_traced_acceptance_run_keeps_each_criterion_work_in_its_span(monkeypatch
     tracer = spans.Tracer()
     try:
         tracer.install(zdg)
-        results = zdg.acceptance.run_acceptance([1, 2, 3, 10])
+        results = zdg.acceptance.run_acceptance([1, 2, 3, 8, 10])
     finally:
         tracer.uninstall()
-    assert [(r.number, r.passed) for r in results] == [(n, True) for n in (1, 2, 3, 10)]
+    assert [(r.number, r.passed) for r in results] == [(n, True) for n in (1, 2, 3, 8, 10)]
     criterion_span = {}
     for k, span in enumerate(tracer.spans):
         name = span[spans.NAME]
@@ -51,7 +51,7 @@ def test_traced_acceptance_run_keeps_each_criterion_work_in_its_span(monkeypatch
             number = int(name.rpartition("_")[2])
             assert number not in criterion_span, name
             criterion_span[number] = k
-    assert sorted(criterion_span) == [1, 2, 3, 10]
+    assert sorted(criterion_span) == [1, 2, 3, 8, 10]
 
     def parents(name, caller="acceptance"):
         return [
@@ -67,3 +67,7 @@ def test_traced_acceptance_run_keeps_each_criterion_work_in_its_span(monkeypatch
     assert realized and set(realized) == {criterion_span[3]}
     screened = parents("graph.prescreen")
     assert screened and set(screened) == {criterion_span[10]}
+    # criterion 8 runs the oracle and the enumeration once per oracle graph
+    assert len(zdg.acceptance.ORACLE_GRAPHS) == 9
+    assert parents("acceptance.oracle") == [criterion_span[8]] * 9
+    assert parents("search.enumerate") == [criterion_span[8]] * 9

@@ -196,6 +196,22 @@ def test_missing_file_is_input_error(capsys):
     assert code == 3
 
 
+def test_unwritable_output_is_input_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    graph_path = tmp_path / "g.graph"
+    table_path = tmp_path / "t6.csv"
+    run(capsys, "gen", "kn2", "--n", "4", "--with-table", "--out-graph", str(graph_path),
+        "--out-table", str(table_path))
+    for argv, target in (
+        (("realize", str(graph_path), "--out-table"), missing / "w.csv"),
+        (("graph-of", str(table_path), "--out"), missing / "g.graph"),
+    ):
+        code, _, err = run(capsys, *argv, str(target))
+        assert code == 3, argv
+        assert err.startswith(f"error: cannot write {target}: "), err
+    assert not missing.exists()
+
+
 def test_graph_of_round_trip(tmp_path, capsys, table6):
     table_path = tmp_path / "t6.csv"
     run(capsys, "gen", "kn2", "--n", "4", "--with-table", "--out-table", str(table_path))
@@ -263,6 +279,7 @@ def test_reproduce_single_criterion(capsys):
     assert "criterion  1 [PASS]" in out
     code, _, err = run(capsys, "reproduce", "--only", "11")
     assert code == 3
+    assert err == "error: no such criterion: [11]\n"
 
 
 def test_readme_library_block_runs():
