@@ -79,30 +79,40 @@ def sweep_specs() -> list[FamilySpec]:
 
 
 def brute_force_realizations(g: LabeledGraph) -> set[tuple[tuple[int, ...], ...]]:
-    """Independent oracle: every commutative table with an absorbing 0 and
-    g's zero pattern, kept if it is associative.
+    """Independent oracle: every associative commutative table with an
+    absorbing 0 and g's zero pattern, filled one upper-triangle cell at a time.
 
-    An edge's cell is 0, a non-adjacent pair's cell is nonzero, and a square
-    may be anything. Row and column 0 are 0, so a triple with a 0 operand
-    always associates and only nonzero triples are scanned. Shares no code
-    with the search engine.
+    An edge's cell is 0, a non-adjacent pair's cell is nonzero, a square may be
+    anything, row and column 0 are 0, and an open cell is -1. A value is
+    dropped once a nonzero triple's ab, bc, (ab)c and a(bc) are known and fail.
+    No filling of the open cells changes those four, so every table is kept.
+    Shares no code with the search engine.
     """
     names = [ZERO_NAME] + list(g.vertices)
     n = len(names)
-    idx = {v: i for i, v in enumerate(names)}
-    adj = [[False] * n for _ in range(n)]
-    for x, y in g.edges():
-        adj[idx[x]][idx[y]] = adj[idx[y]][idx[x]] = True
+    edges = {frozenset((names.index(x), names.index(y))) for x, y in g.edges()}
     cells = [(i, j) for i in range(1, n) for j in range(i, n)]
-    choices = [range(n) if i == j else (0,) if adj[i][j] else range(1, n) for i, j in cells]
-    nonzero = range(1, n)
+    choices = [range(n) if i == j else (0,) if frozenset((i, j)) in edges else range(1, n)
+               for i, j in cells]
+    triples = list(itertools.product(range(1, n), repeat=3))
+    P = [[0] * n] + [[0] + [-1] * (n - 1) for _ in range(1, n)]
     solutions = set()
-    for values in itertools.product(*choices):
-        P = [[0] * n for _ in range(n)]
-        for (i, j), v in zip(cells, values):
+
+    def fill(k: int) -> None:
+        if k == len(cells):
+            return solutions.add(tuple(tuple(row) for row in P))
+        i, j = cells[k]
+        for v in choices[k]:
             P[i][j] = P[j][i] = v
-        if all(P[P[i][j]][k] == P[i][P[j][k]] for i in nonzero for j in nonzero for k in nonzero):
-            solutions.add(tuple(tuple(row) for row in P))
+            for a, b, c in triples:
+                ab, bc = P[a][b], P[b][c]
+                if ab >= 0 and bc >= 0 and -1 != P[ab][c] != P[a][bc] != -1:
+                    break
+            else:
+                fill(k + 1)
+        P[i][j] = P[j][i] = -1
+
+    fill(0)
     return solutions
 
 

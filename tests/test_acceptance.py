@@ -10,10 +10,21 @@ family table that does not come from the search. The corrected form of the
 statement, with a nonempty pendant set on b, is verified in the test of the
 parts that hold. See README, "Acceptance suite".
 """
+import ast
+import inspect
+import itertools
+import types
+
 import pytest
 
-from zdg import acceptance
-from zdg.acceptance import Corpus, criterion_5_parts, run_acceptance
+from zdg import acceptance, search
+from zdg.acceptance import (
+    ORACLE_GRAPHS,
+    Corpus,
+    brute_force_realizations,
+    criterion_5_parts,
+    run_acceptance,
+)
 from zdg.algebra import validate
 from zdg.errors import InputError
 from zdg.families import FamilySpec, add_end, generate_graph, generate_table
@@ -140,6 +151,65 @@ def test_criterion_07_uniqueness_up_to_relabeling(results):
 def test_criterion_08_oracle_equivalence(results):
     r = _report(results[8])
     assert r.passed, r.detail
+
+
+# criterion 8's oracle, checked against the definition and kept apart from the engine
+
+ORACLE_COUNTS = {
+    "K2": 6, "P3": 22, "K3": 23, "P4": 2, "K1_3": 173,
+    "paw": 36, "C4": 64, "diamond": 94, "K4": 104,
+}
+
+
+def _product_and_filter(g):
+    """Every filling of the upper triangle with g's zero pattern (an edge 0,
+    a non-edge nonzero, a square anything), kept if all triples associate."""
+    n = g.n + 1
+    cells = list(itertools.combinations_with_replacement(range(1, n), 2))
+    edge = [[g.has_edge(x, y) for y in g.vertices] for x in g.vertices]
+    choices = [range(n) if i == j else [0] if edge[i - 1][j - 1] else range(1, n)
+               for i, j in cells]
+    triples = list(itertools.product(range(n), repeat=3))
+    found = set()
+    for values in itertools.product(*choices):
+        P = [[0] * n for _ in range(n)]
+        for (i, j), v in zip(cells, values):
+            P[i][j] = P[j][i] = v
+        if all(P[P[a][b]][c] == P[a][P[b][c]] for a, b, c in triples):
+            found.add(tuple(map(tuple, P)))
+    return found
+
+
+def test_oracle_matches_product_and_filter_on_the_oracle_graphs():
+    counts = {}
+    for name, g in ORACLE_GRAPHS.items():
+        tables = brute_force_realizations(g)
+        assert tables == _product_and_filter(g), name
+        counts[name] = len(tables)
+    assert counts == ORACLE_COUNTS
+    assert sum(counts.values()) == 524
+
+
+def _loaded_names(code):
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _loaded_names(const)
+    return names
+
+
+def test_oracle_loads_no_engine_name():
+    # criterion 8 is a cross-check only while the oracle reuses none of the
+    # engine's code or cuts
+    tree = ast.parse(inspect.getsource(search))
+    engine = {node.name for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    engine |= {t.id for node in tree.body if isinstance(node, ast.Assign)
+               for t in node.targets if isinstance(t, ast.Name)}
+    assert {"realize", "_process_triple", "UNKNOWN"} <= engine
+    forbidden = engine | {"validate", "zero_divisor_graph", "_covering", "necessary_conditions"}
+    loaded = _loaded_names(brute_force_realizations.__code__)
+    assert "edges" in loaded and not loaded & forbidden, loaded & forbidden
 
 
 def test_criterion_09_theorem_sweep(results):

@@ -196,6 +196,18 @@ def test_missing_file_is_input_error(capsys):
     assert code == 3
 
 
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    graph_path = tmp_path / "g.graph"
+    run(capsys, "gen", "kn2", "--n", "4", "--out-graph", str(graph_path))
+    for argv in (("realize", str(bad)), ("verify", str(bad)),
+                 ("realize", str(graph_path), "--config", str(bad))):
+        code, _, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert err.startswith(f"error: cannot read {bad}: "), err
+
+
 def test_unwritable_output_is_input_error(tmp_path, capsys):
     missing = tmp_path / "missing"
     graph_path = tmp_path / "g.graph"

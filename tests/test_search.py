@@ -404,11 +404,16 @@ def test_explain_chain():
 # --- enumerate ------------------------------------------------------------------------
 
 
-def test_enumerate_matches_oracle_on_edge_and_triangle():
-    for g in (K2, K3):
+def test_enumerate_matches_oracle_on_every_graph_up_to_4_vertices(small_connected_graphs):
+    graphs = [g for g in small_connected_graphs if g.n <= 4]
+    assert len(graphs) == 43
+    total = 0
+    for g in graphs:
         res = enumerate_tables(g)
         assert res.exhaustive
-        assert {t.rows for t in res.tables} == brute_force_realizations(g)
+        assert {t.rows for t in res.tables} == brute_force_realizations(g), g.edges()
+        total += len(res.tables)
+    assert total == 2103
     assert len(enumerate_tables(K2).tables) == 6
 
 
