@@ -17,10 +17,11 @@ ZERO_NAME = "0"
 
 
 def _check_name(name: str) -> None:
-    if not name or any(ch.isspace() for ch in name) or "," in name:
+    # a leading '#' would make a graph file read the name's line as a comment
+    if not name or any(ch.isspace() for ch in name) or "," in name or name[0] == "#":
         raise InputError(
             f"bad element name {name!r}: names are nonempty tokens "
-            "without whitespace or commas"
+            "without whitespace or commas that do not start with '#'"
         )
 
 

@@ -76,9 +76,6 @@ def _fmt_set(values) -> str:
 
 def _add_search_flags(p: argparse.ArgumentParser, verb: str) -> None:
     p.add_argument("--budget", type=int, default=None, help="decision-node budget")
-    p.add_argument("--lemma21", dest="lemma21_pruning", choices=("on", "off"),
-                   default=None,
-                   help="prune zero from squares with a distance-3 partner")
     p.add_argument("--config", default=None, help="key=value config file")
     if verb == "realize":
         p.add_argument("--explain", action="store_true", help="print the deduction chain")
@@ -101,7 +98,7 @@ def _build_config(args) -> SearchConfig:
     for field in fields(SearchConfig):
         value = getattr(args, field.name, None)
         if value is not None:
-            kwargs[field.name] = value == "on" if value in ("on", "off") else value
+            kwargs[field.name] = value
     return SearchConfig(**kwargs)
 
 

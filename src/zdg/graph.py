@@ -654,13 +654,23 @@ def emit_graph_text(g: LabeledGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+_DOT_KEYWORDS = {"graph", "digraph", "subgraph", "node", "edge", "strict"}
+
+
+def _dot_id(name: str) -> str:
+    """The name as a DOT ID: bare if an ASCII identifier and no keyword, else quoted."""
+    if name.isascii() and name.isidentifier() and name.lower() not in _DOT_KEYWORDS:
+        return name
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def emit_dot(g: LabeledGraph) -> str:
     """DOT rendering of the graph; output only, never parsed back."""
     lines = ["graph G {"]
     for v in g.vertices:
         if g.degree(v) == 0:
-            lines.append(f"  {v};")
+            lines.append(f"  {_dot_id(v)};")
     for x, y in g.edges():
-        lines.append(f"  {x} -- {y};")
+        lines.append(f"  {_dot_id(x)} -- {_dot_id(y)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -10,8 +10,7 @@ definition and never searched). Initial domains come from two sound cuts:
 
 * the product x*y must be annihilated by every neighbor of x or y, so its
   value v must satisfy N(x) | N(y) <= N(v) | {v};
-* x*x may be 0 only if no vertex lies at distance 3 from x (switchable via
-  ``lemma21_pruning``; turning it off changes node counts, never answers).
+* x*x may be 0 only if no vertex lies at distance 3 from x (Lemma 2.1).
 
 Propagation closes the partial table under associativity: for every element
 triple, whenever one bracketing of the product becomes fully evaluable, the
@@ -68,13 +67,12 @@ UNKNOWN = -1
 class SearchConfig:
     budget: int = 10_000_000          # decision nodes
     max_solutions: int | None = None  # enumerate only
-    lemma21_pruning: bool = True
     explain: bool = False             # realize only: keep the deduction chain
 
 
-def parse_config_file(text: str) -> dict[str, object]:
+def parse_config_file(text: str) -> dict[str, int]:
     """Parse a key=value config file; '#' starts a comment."""
-    out: dict[str, object] = {}
+    out: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -88,13 +86,6 @@ def parse_config_file(text: str) -> dict[str, object]:
                 out[key] = int(value)
             except ValueError:
                 raise InputError(f"config line {lineno}: {key} needs an integer") from None
-        elif key == "lemma21_pruning":
-            if value.lower() in ("on", "true", "1", "yes"):
-                out[key] = True
-            elif value.lower() in ("off", "false", "0", "no"):
-                out[key] = False
-            else:
-                raise InputError(f"config line {lineno}: {key} needs on/off")
         else:
             raise InputError(f"config line {lineno}: unknown key {key!r}")
     return out
@@ -191,9 +182,7 @@ class SearchState:
 
     def _square_domain(self, i: int) -> int:
         mask = _covering(self.g.masks, self.adj[i] >> 1) << 1
-        if not self.has_d3[i] or not self.config.lemma21_pruning:
-            mask |= 1
-        return mask
+        return mask if self.has_d3[i] else mask | 1
 
     # --- introspection --------------------------------------------------------
 

@@ -106,14 +106,15 @@ def test_realize_budget_exit_code(tmp_path, capsys):
 
 def test_realize_deep_ladder_graph_from_a_pipe():
     # fig3(13,13,13,13) needs search depth 1,003, beyond a fresh
-    # interpreter's default recursion limit of 1,000
+    # interpreter's default recursion limit of 1,000; each call takes about
+    # 0.8 s, and the time bound fails a slow engine instead of hanging
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     zdg = [sys.executable, "-m", "zdg"]
-    gen = subprocess.run(zdg + ["gen", "fig3", "--m", "13", "--n", "13", "--u", "13",
-                                "--v", "13"], capture_output=True, text=True, env=env)
+    gen = subprocess.run(zdg + ["gen", "fig3", "--m", "13", "--n", "13", "--u", "13", "--v", "13"],
+                         capture_output=True, text=True, env=env, timeout=120)
     assert gen.returncode == 0, gen.stderr
     out = subprocess.run(zdg + ["realize", "/dev/stdin"], input=gen.stdout,
-                         capture_output=True, text=True, env=env)
+                         capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
     assert "outcome: realized" in out.stdout
 
@@ -142,12 +143,14 @@ def test_realize_only_and_removed_flags_rejected(tmp_path, capsys):
         ("enumerate", str(graph_path), "--explain"),
         ("realize", str(graph_path), "--parallel", "2"),
         ("realize", str(graph_path), "--symmetry", "off"),
+        ("realize", str(graph_path), "--lemma21", "off"),
+        ("enumerate", str(graph_path), "--lemma21", "on"),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 3, argv
         assert "error:" in err
     config_path = tmp_path / "search.cfg"
-    for key in ("parallel=2", "symmetry=off"):
+    for key in ("parallel=2", "symmetry=off", "lemma21_pruning=off"):
         config_path.write_text(key + "\n")
         for verb in ("realize", "enumerate"):
             code, _, err = run(capsys, verb, str(graph_path), "--config", str(config_path))

@@ -465,6 +465,16 @@ def test_graph_text_round_trip(fig3_graph):
     again = parse_graph_text(text)
     assert again.same_graph(fig3_graph)
     assert emit_graph_text(again) == text
+    # a '#' inside a name survives; a leading '#' would start a comment line,
+    # so no name may begin with it
+    g = LabeledGraph(["a", "b#", "c#d"], [("a", "b#"), ("b#", "c#d")])
+    assert parse_graph_text(emit_graph_text(g)).same_graph(g)
+    for vertices, edges in ((["a", "#b", "c"], [("a", "#b"), ("#b", "c")]),
+                            (["#b", "a"], [("#b", "a")])):
+        with pytest.raises(InputError, match="start with '#'"):
+            LabeledGraph(vertices, edges)
+    with pytest.raises(InputError, match="start with '#'"):
+        parse_graph_text("a #b\na #b\n")
 
 
 def test_graph_text_comments_and_errors():
@@ -485,3 +495,8 @@ def test_graph_text_comments_and_errors():
 def test_dot_output():
     g = LabeledGraph(["a", "b", "c"], [("a", "b")])
     assert emit_dot(g) == "graph G {\n  c;\n  a -- b;\n}\n"
+    # a name that is not a DOT identifier, or is a DOT keyword, is quoted
+    g = LabeledGraph(["1a", "x-1", 'q"', "\\", "node", "_ok"],
+                     [("1a", "x-1"), ('q"', "\\")])
+    assert emit_dot(g) == ('graph G {\n  "node";\n  _ok;\n  "1a" -- "x-1";\n'
+                           '  "\\\\" -- "q\\"";\n}\n')

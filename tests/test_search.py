@@ -6,10 +6,16 @@ import pytest
 
 from zdg import search
 from zdg.acceptance import brute_force_realizations
-from zdg.algebra import emit_table_csv, same_products, validate
+from zdg.algebra import CayleyTable, emit_table_csv, same_products, validate
 from zdg.errors import InputError
 from zdg.families import FamilySpec, add_cap, add_edge, add_end, generate_graph
-from zdg.graph import LabeledGraph, necessary_conditions, relabel_table, zero_divisor_graph
+from zdg.graph import (
+    LabeledGraph,
+    _covering,
+    necessary_conditions,
+    relabel_table,
+    zero_divisor_graph,
+)
 from zdg.search import (
     Outcome,
     SearchConfig,
@@ -284,6 +290,11 @@ def test_explain_chains_pinned(census_graphs):
     )
 
 
+def _square_domain_keeping_zero(state, i):
+    # SearchState._square_domain without the Lemma 2.1 cut: 0 stays everywhere
+    return _covering(state.g.masks, state.adj[i] >> 1) << 1 | 1
+
+
 def _reference_drain(state):
     # the unfiltered drain: every triple of each queued cell is processed
     q, n = state._queue, state.n
@@ -333,12 +344,17 @@ def test_triple_filter_skips_only_noops(bench_graphs, sweep_graphs, monkeypatch)
             s = out.stats
             records.append((out.tag, out.reason, s.nodes, s.forced, s.max_depth,
                             out.chain, trails[-1]))
-        # on these graphs the initial sweep acts after the first drain
-        for g, pruning in itertools.product(sweep_graphs.values(), (True, False)):
-            res = enumerate_tables(g, SearchConfig(lemma21_pruning=pruning))
-            s = res.stats
-            records.append((s.nodes, s.forced, s.max_depth, [t.rows for t in res.tables],
-                            trails[-1]))
+        # on these graphs the initial sweep acts after the first drain, with
+        # the Lemma 2.1 cut and without it
+        for g in sweep_graphs.values():
+            for cut in (True, False):
+                with monkeypatch.context() as patch:
+                    if not cut:
+                        patch.setattr(SearchState, "_square_domain", _square_domain_keeping_zero)
+                    res = enumerate_tables(g)
+                s = res.stats
+                records.append((s.nodes, s.forced, s.max_depth, [t.rows for t in res.tables],
+                                trails[-1]))
         # the initial sweep changes nothing on the 5-vertex graphs; one
         # assignment to an open cell, left undrained, gives it work
         for g in bench_graphs[5]:
@@ -447,60 +463,69 @@ def test_enumeration_unique_up_to_relabeling(kn2_graph, table6):
     assert twisted == {t.rows for t in res.tables}
 
 
-def test_lemma21_flag_agrees_on_answers():
-    cases = [
-        (fig("fig3", m=1, n=1, u=0, v=1), Outcome.REALIZED),
-        (add_edge(fig("fig5", m=1, n=1, v=0), "x1", "x2"), Outcome.UNREALIZABLE),
-    ]
-    for g, expected in cases:
-        on = realize(g, SearchConfig(lemma21_pruning=True))
-        off = realize(g, SearchConfig(lemma21_pruning=False))
-        assert on.tag == off.tag == expected
-
-
 def test_enumerate_lists_twin_swapped_tables():
     # a and b are twins in the 4-cycle a-c-b-d-a; root twin pruning would
     # keep only half of the 14 tables of this graph
-    g = C4_WITH_END
-    on = enumerate_tables(g, SearchConfig(lemma21_pruning=True))
-    off = enumerate_tables(g, SearchConfig(lemma21_pruning=False))
-    assert on.exhaustive and off.exhaustive
-    assert len(on.tables) == 14
-    assert {t.rows for t in on.tables} == {t.rows for t in off.tables}
+    res = enumerate_tables(C4_WITH_END)
+    assert res.exhaustive
+    assert len(res.tables) == 14
 
 
-def test_pruning_switches_never_change_answers(
-    small_connected_graphs, census_graphs, bench_graphs
+def test_lemma21_cut_never_changes_answers(
+    small_connected_graphs, census_graphs, bench_graphs, monkeypatch
 ):
+    # the Lemma 2.1 cut drops 0 from x*x when a vertex lies at distance 3 from
+    # x; without it the verdicts and the table sets are the same
     small = small_connected_graphs
     assert len(small) == 771  # connected labeled graphs on 2..5 vertices
-    for g in small:
-        tags = {realize(g, SearchConfig(lemma21_pruning=p)).tag for p in (True, False)}
-        assert len(tags) == 1, (g.vertices, list(g.edges()), tags)
-    # the 965 graphs on 6 and 7 vertices: same verdict, and a witness found
-    # without the pruning is as sound as one found with it
     assert len(census_graphs) == 965
-    for g in census_graphs:
-        on = realize(g, SearchConfig(lemma21_pruning=True))
-        off = realize(g, SearchConfig(lemma21_pruning=False))
-        assert on.tag == off.tag, (g.vertices, list(g.edges()), on.tag, off.tag)
-        if off.witness is not None:
-            assert validate(off.witness).ok
-            assert zero_divisor_graph(off.witness).same_graph(g)
     tiny = [g for g in small if g.n <= 4]
     assert len(tiny) == 43
     assert len(bench_graphs[5]) == 21
-    for g in tiny + bench_graphs[5]:
-        on = enumerate_tables(g, SearchConfig(lemma21_pruning=True))
-        off = enumerate_tables(g, SearchConfig(lemma21_pruning=False))
-        assert on.exhaustive and off.exhaustive
-        assert {t.rows for t in on.tables} == {t.rows for t in off.tables}
+    fig3 = fig("fig3", m=1, n=1, u=0, v=1)
+    extra = [fig3, add_edge(fig("fig5", m=1, n=1, v=0), "x1", "x2")]
+
+    def answers():
+        tags = [realize(g).tag for g in small + extra]
+        census = [realize(g) for g in census_graphs]
+        sets = []
+        for g in tiny + bench_graphs[5]:
+            res = enumerate_tables(g)
+            assert res.exhaustive
+            sets.append({t.rows for t in res.tables})
+        return tags, census, sets
+
+    tags, census, sets = answers()
+    assert tags[-2:] == [Outcome.REALIZED, Outcome.UNREALIZABLE]
+    assert "0" not in SearchState(fig3).domain_of("y1", "y1")
+    monkeypatch.setattr(SearchState, "_square_domain", _square_domain_keeping_zero)
+    assert "0" in SearchState(fig3).domain_of("y1", "y1")  # the replacement adds 0
+    tags_off, census_off, sets_off = answers()
+    assert tags_off == tags
+    assert [out.tag for out in census_off] == [out.tag for out in census]
+    # a witness found without the cut is as sound as one found with it
+    for g, out in zip(census_graphs, census_off):
+        if out.witness is not None:
+            assert validate(out.witness).ok
+            assert zero_divisor_graph(out.witness).same_graph(g)
+    assert sets_off == sets
 
 
-def test_enumerate_lemma21_same_solution_set():
-    on = enumerate_tables(K3, SearchConfig(lemma21_pruning=True))
-    off = enumerate_tables(K3, SearchConfig(lemma21_pruning=False))
-    assert {t.rows for t in on.tables} == {t.rows for t in off.tables}
+def test_record_solution_rejects_a_bad_table():
+    # the witness check behind every solution: a full table that is not
+    # associative, or whose zero-divisor graph is not g, is an internal error
+    path = LabeledGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    nonassociative = [[0, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0]]  # a*a = b*b = b
+    null = [[0] * 4 for _ in range(4)]  # associative; its graph is the triangle
+    names = ("0", "a", "b", "c")
+    assert not validate(CayleyTable(names, nonassociative)).ok
+    assert validate(CayleyTable(names, null)).ok
+    for rows in (nonassociative, null):
+        st = SearchState(path)
+        st.M[:] = [x for row in rows for x in row]
+        with pytest.raises(RuntimeError, match="bad witness"):
+            st._record_solution()
+        assert st.solutions == []
 
 
 def test_witness_replay_never_leaves_domains():
@@ -528,19 +553,14 @@ def test_witness_replay_never_leaves_domains():
 
 
 def test_parse_config_file():
-    text = "budget = 500\n# comment\nlemma21_pruning=on\nmax_solutions=7\n"
-    assert parse_config_file(text) == {
-        "budget": 500,
-        "lemma21_pruning": True,
-        "max_solutions": 7,
-    }
+    text = "budget = 500\n# comment\nmax_solutions=7\n"
+    assert parse_config_file(text) == {"budget": 500, "max_solutions": 7}
     with pytest.raises(InputError):
         parse_config_file("nonsense\n")
     with pytest.raises(InputError):
         parse_config_file("budget=abc\n")
     with pytest.raises(InputError):
         parse_config_file("mystery=1\n")
-    with pytest.raises(InputError):
-        parse_config_file("lemma21_pruning=sideways\n")
-    with pytest.raises(InputError, match="unknown key 'symmetry'"):
-        parse_config_file("symmetry=off\n")
+    for key in ("symmetry=off", "lemma21_pruning=off", "lemma21_pruning=on"):
+        with pytest.raises(InputError, match=f"unknown key {key.split('=')[0]!r}"):
+            parse_config_file(key + "\n")
