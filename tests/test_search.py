@@ -471,22 +471,36 @@ def test_enumerate_lists_twin_swapped_tables():
     assert len(res.tables) == 14
 
 
-def test_lemma21_cut_never_changes_answers(
+def test_lemma21_flag_agrees_on_answers(monkeypatch):
+    # the Lemma 2.1 cut drops 0 from x*x when a vertex lies at distance 3 from
+    # x; on these two graphs the verdict is the same without it
+    fig3 = fig("fig3", m=1, n=1, u=0, v=1)
+    cases = [
+        (fig3, Outcome.REALIZED),
+        (add_edge(fig("fig5", m=1, n=1, v=0), "x1", "x2"), Outcome.UNREALIZABLE),
+    ]
+    on = [realize(g).tag for g, _ in cases]
+    assert "0" not in SearchState(fig3).domain_of("y1", "y1")
+    monkeypatch.setattr(SearchState, "_square_domain", _square_domain_keeping_zero)
+    assert "0" in SearchState(fig3).domain_of("y1", "y1")  # the replacement adds 0
+    off = [realize(g).tag for g, _ in cases]
+    assert on == off == [expected for _, expected in cases]
+
+
+def test_pruning_switches_never_change_answers(
     small_connected_graphs, census_graphs, bench_graphs, monkeypatch
 ):
-    # the Lemma 2.1 cut drops 0 from x*x when a vertex lies at distance 3 from
-    # x; without it the verdicts and the table sets are the same
+    # the Lemma 2.1 cut, the one pruning left, compared with a search that
+    # keeps 0 in every square: the verdicts and the table sets are the same
     small = small_connected_graphs
     assert len(small) == 771  # connected labeled graphs on 2..5 vertices
     assert len(census_graphs) == 965
     tiny = [g for g in small if g.n <= 4]
     assert len(tiny) == 43
     assert len(bench_graphs[5]) == 21
-    fig3 = fig("fig3", m=1, n=1, u=0, v=1)
-    extra = [fig3, add_edge(fig("fig5", m=1, n=1, v=0), "x1", "x2")]
 
     def answers():
-        tags = [realize(g).tag for g in small + extra]
+        tags = [realize(g).tag for g in small]
         census = [realize(g) for g in census_graphs]
         sets = []
         for g in tiny + bench_graphs[5]:
@@ -496,10 +510,7 @@ def test_lemma21_cut_never_changes_answers(
         return tags, census, sets
 
     tags, census, sets = answers()
-    assert tags[-2:] == [Outcome.REALIZED, Outcome.UNREALIZABLE]
-    assert "0" not in SearchState(fig3).domain_of("y1", "y1")
     monkeypatch.setattr(SearchState, "_square_domain", _square_domain_keeping_zero)
-    assert "0" in SearchState(fig3).domain_of("y1", "y1")  # the replacement adds 0
     tags_off, census_off, sets_off = answers()
     assert tags_off == tags
     assert [out.tag for out in census_off] == [out.tag for out in census]
@@ -509,6 +520,14 @@ def test_lemma21_cut_never_changes_answers(
             assert validate(out.witness).ok
             assert zero_divisor_graph(out.witness).same_graph(g)
     assert sets_off == sets
+
+
+def test_enumerate_lemma21_same_solution_set(monkeypatch):
+    on = enumerate_tables(K3)
+    monkeypatch.setattr(SearchState, "_square_domain", _square_domain_keeping_zero)
+    off = enumerate_tables(K3)
+    assert on.exhaustive and off.exhaustive
+    assert {t.rows for t in on.tables} == {t.rows for t in off.tables}
 
 
 def test_record_solution_rejects_a_bad_table():
