@@ -55,7 +55,6 @@ from .search import (
     EnumerationResult,
     Outcome,
     RealizationOutcome,
-    SearchConfig,
     enumerate_tables,
     init_domains,
     propagate,

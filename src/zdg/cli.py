@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .acceptance import run_acceptance
@@ -31,14 +30,7 @@ from .graph import (
     partition,
     zero_divisor_graph,
 )
-from .search import (
-    Outcome,
-    SearchConfig,
-    SearchStats,
-    enumerate_tables,
-    parse_config_file,
-    realize,
-)
+from .search import Outcome, SearchStats, enumerate_tables, realize
 from .theorems import run_all
 
 EXIT_OK = 0
@@ -83,23 +75,48 @@ def _add_search_flags(p: argparse.ArgumentParser, verb: str) -> None:
         p.add_argument("--max-solutions", type=int, default=None)
 
 
-def _build_config(args) -> SearchConfig:
-    """The search settings: config-file keys, overridden by flags.
+# the keyword-only settings of realize and enumerate_tables; each search flag
+# stores under its keyword's name, and a config file takes the integer ones
+_SEARCH_KEYS = ("budget", "max_solutions", "explain")
+_CONFIG_KEYS = ("budget", "max_solutions")
 
-    Each flag stores under its ``SearchConfig`` field's name, so a verb
-    takes a config-file key only if it defines the matching flag.
+
+def parse_config_file(text: str) -> dict[str, int]:
+    """Parse a key=value config file; '#' starts a comment."""
+    out: dict[str, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise InputError(f"config line {lineno}: expected key=value, got {raw!r}")
+        key, value = key.strip(), value.strip()
+        if key not in _CONFIG_KEYS:
+            raise InputError(f"config line {lineno}: unknown key {key!r}")
+        try:
+            out[key] = int(value)
+        except ValueError:
+            raise InputError(f"config line {lineno}: {key} needs an integer") from None
+    return out
+
+
+def _search_settings(args) -> dict:
+    """The search keywords: config-file keys, overridden by flags.
+
+    A verb takes a config-file key only if it defines the matching flag.
     """
-    kwargs: dict = {}
-    if getattr(args, "config", None):
-        kwargs.update(parse_config_file(_read(args.config)))
-        for key in kwargs:
+    settings: dict = {}
+    if args.config:
+        settings.update(parse_config_file(_read(args.config)))
+        for key in settings:
             if not hasattr(args, key):
                 raise InputError(f"config key {key!r} does not apply to {args.verb}")
-    for field in fields(SearchConfig):
-        value = getattr(args, field.name, None)
+    for key in _SEARCH_KEYS:
+        value = getattr(args, key, None)
         if value is not None:
-            kwargs[field.name] = value
-    return SearchConfig(**kwargs)
+            settings[key] = value
+    return settings
 
 
 def _make_parser() -> _Parser:
@@ -210,7 +227,7 @@ def _print_stats(stats: SearchStats) -> None:
 
 def _cmd_realize(args) -> int:
     g = parse_graph_text(_read(args.graph))
-    out = realize(g, _build_config(args))
+    out = realize(g, **_search_settings(args))
     print("outcome:", out.tag.value)
     _print_stats(out.stats)
     if out.reason:
@@ -228,7 +245,7 @@ def _cmd_realize(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     g = parse_graph_text(_read(args.graph))
-    res = enumerate_tables(g, _build_config(args))
+    res = enumerate_tables(g, **_search_settings(args))
     print("solutions:", len(res.tables))
     print("exhaustive:", "yes" if res.exhaustive else "no")
     _print_stats(res.stats)

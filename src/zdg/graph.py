@@ -649,6 +649,8 @@ def parse_graph_text(text: str) -> LabeledGraph:
 
 
 def emit_graph_text(g: LabeledGraph) -> str:
+    if not g.vertices:  # the parser rejects an empty graph file
+        raise InputError("a graph with no vertices has no graph file")
     lines = [" ".join(g.vertices)]
     lines.extend(f"{x} {y}" for x, y in g.edges())
     return "\n".join(lines) + "\n"

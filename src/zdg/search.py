@@ -17,7 +17,7 @@ triple, whenever one bracketing of the product becomes fully evaluable, the
 other bracketings are forced to agree, pruning domains and assigning forced
 cells, with every deduction recorded on an undo trail. Exhausting the tree
 without a solution is therefore a certificate of non-realizability,
-replayable deterministically under the recorded configuration. Every public
+replayable deterministically under the recorded budget. Every public
 way to a search state passes one gate, ``_gate``, which checks the input and
 runs the pre-screen; no state is built for a graph it refutes.
 
@@ -63,32 +63,7 @@ from .graph import (
 UNKNOWN = -1
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    budget: int = 10_000_000          # decision nodes
-    max_solutions: int | None = None  # enumerate only
-    explain: bool = False             # realize only: keep the deduction chain
-
-
-def parse_config_file(text: str) -> dict[str, int]:
-    """Parse a key=value config file; '#' starts a comment."""
-    out: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise InputError(f"config line {lineno}: expected key=value, got {raw!r}")
-        key, value = key.strip(), value.strip()
-        if key in ("budget", "max_solutions"):
-            try:
-                out[key] = int(value)
-            except ValueError:
-                raise InputError(f"config line {lineno}: {key} needs an integer") from None
-        else:
-            raise InputError(f"config line {lineno}: unknown key {key!r}")
-    return out
+BUDGET = 10_000_000  # decision nodes
 
 
 class Outcome(Enum):
@@ -125,9 +100,8 @@ class EnumerationResult:
 class SearchState:
     """Partial table, bitmask domains and undo trail; built only behind ``_gate``."""
 
-    def __init__(self, g: LabeledGraph, config: SearchConfig | None = None):
+    def __init__(self, g: LabeledGraph):
         self.g = g
-        self.config = config or SearchConfig()
         self.names = (ZERO_NAME,) + tuple(g.vertices)
         self.n = n = len(self.names)
         self.index = {nm: i for i, nm in enumerate(self.names)}
@@ -419,8 +393,11 @@ class SearchState:
     def _sweep(self) -> bool:
         """Process every triple p <= q <= r once, skipping the provable no-ops.
 
-        The zeros of adjacent pairs are never queued, so the drain alone can
-        miss a triple that reads only them.
+        The drain alone can miss a triple for two reasons. The zeros of
+        adjacent pairs are never queued, so a triple that reads only them is
+        never visited. And a visited triple is not visited again when only a
+        candidate's product w*c changes, so a prune that the new w*c allows
+        is left undone.
         """
         n = self.n
         M, domains, val = self.M, self.domains, self.val
@@ -461,16 +438,16 @@ class SearchState:
             raise RuntimeError("internal invariant violation: bad witness produced")
         self.solutions.append(table)
 
-    def _search(self, limit: int | None) -> str:
+    def _search(self, limit: int | None, budget: int) -> str:
         """Depth-first search over the unassigned cells, on an explicit stack.
 
         A frame is (cell, its remaining values, depth, trail mark). Each value
         is tried from the frame's mark, so the trail is undone before the
         next one. Returns "done" once the tree is exhausted, "limit" once
-        ``limit`` solutions are recorded, or "budget" once the node budget
-        trips; the early returns leave the trail as it stands.
+        ``limit`` solutions are recorded, or "budget" once more than
+        ``budget`` nodes are spent; the early returns leave the trail as it
+        stands.
         """
-        budget = self.config.budget
         frames: list[tuple[int, Iterator[int], int, int]] = []
         depth = 0
         while True:
@@ -503,7 +480,7 @@ class SearchState:
 # --- public operations ---------------------------------------------------------
 
 
-def _gate(g: LabeledGraph, config: SearchConfig) -> str | None:
+def _gate(g: LabeledGraph, budget: int = BUDGET, limit: int | None = None) -> str | None:
     """Check the input and pre-screen it: the failed condition's name, or None.
 
     Behind this gate no initial domain is empty: the cover pre-check is exactly
@@ -514,19 +491,19 @@ def _gate(g: LabeledGraph, config: SearchConfig) -> str | None:
         raise InputError("realization needs a graph with at least 2 vertices")
     if not is_connected(g):
         raise InputError("realization needs a connected graph")
-    if config.budget <= 0:
+    if budget <= 0:
         raise InputError("budget must be positive")
-    if config.max_solutions is not None and config.max_solutions < 1:
+    if limit is not None and limit < 1:
         raise InputError("max_solutions must be >= 1")
     nc = necessary_conditions(g)
     return None if nc.passed else nc.failed[0]
 
 
-def init_domains(g: LabeledGraph, config: SearchConfig | None = None) -> SearchState | None:
+def init_domains(g: LabeledGraph) -> SearchState | None:
     """The state after initial propagation, or None if ``realize``'s gate refutes g."""
-    if _gate(g, config or SearchConfig()):
+    if _gate(g):
         return None
-    state = SearchState(g, config)
+    state = SearchState(g)
     state.initialize()
     return state
 
@@ -548,7 +525,7 @@ def propagate(state: SearchState, cell: tuple[str, str], value: str) -> bool:
 
 
 def _run(
-    g: LabeledGraph, config: SearchConfig, limit: int | None
+    g: LabeledGraph, budget: int, limit: int | None
 ) -> tuple[SearchState | None, str, SearchStats]:
     """Check the input, pre-screen it, and search for up to ``limit`` tables.
 
@@ -556,24 +533,28 @@ def _run(
     propagation refutes the graph. A graph the pre-screen refutes gets no
     state, zero stats, and the failed condition's name as its status.
     """
-    if failed := _gate(g, config):
+    if failed := _gate(g, budget, limit):
         return None, failed, SearchStats(0, 0, 0, 0.0)
     t0 = time.perf_counter()
-    state = SearchState(g, config)
-    status = state._search(limit) if state.initialize() else "done"
+    state = SearchState(g)
+    status = state._search(limit, budget) if state.initialize() else "done"
     seconds = time.perf_counter() - t0
     return state, status, SearchStats(state.nodes, state.forced, state.max_depth, seconds)
 
 
-def realize(g: LabeledGraph, config: SearchConfig | None = None) -> RealizationOutcome:
-    """Find one realization, certify there is none, or trip the node budget."""
-    config = config or SearchConfig()
-    state, status, stats = _run(g, config, 1)
+def realize(
+    g: LabeledGraph, *, budget: int = BUDGET, explain: bool = False
+) -> RealizationOutcome:
+    """Find one realization, certify there is none, or trip the node budget.
+
+    With ``explain``, the outcome carries the deduction chain.
+    """
+    state, status, stats = _run(g, budget, 1)
     if state is None:
         reason = f"necessary-conditions:{status}"
         return RealizationOutcome(Outcome.UNREALIZABLE, None, stats, reason=reason)
     # a budget trip leaves the open decisions and what they forced on the trail
-    chain = state.explain_chain() if config.explain else ()
+    chain = state.explain_chain() if explain else ()
     if status == "limit":
         return RealizationOutcome(Outcome.REALIZED, state.solutions[0], stats, chain=chain)
     if status == "budget":
@@ -586,14 +567,13 @@ def realize(g: LabeledGraph, config: SearchConfig | None = None) -> RealizationO
 
 
 def enumerate_tables(
-    g: LabeledGraph, config: SearchConfig | None = None
+    g: LabeledGraph, *, budget: int = BUDGET, max_solutions: int | None = None
 ) -> EnumerationResult:
-    """All realizations on fixed labels, up to ``config.max_solutions``.
+    """All realizations on fixed labels, up to ``max_solutions``.
 
     The order is deterministic, and ``realize`` returns the first table.
     """
-    config = config or SearchConfig()
-    state, status, stats = _run(g, config, config.max_solutions)
+    state, status, stats = _run(g, budget, max_solutions)
     return EnumerationResult(
         tuple(state.solutions) if state else (),
         status not in ("budget", "limit"),

@@ -59,10 +59,10 @@ def test_traced_acceptance_run_keeps_each_criterion_work_in_its_span(monkeypatch
             if s[spans.NAME] == name and s[spans.CALLER] == caller
         ]
 
-    # one generate_table and one generate_graph per sweep spec, both inside
-    # criterion 2 although the corpus builds the tables
+    # one generate_table per sweep spec, inside criterion 2 although the
+    # corpus builds the tables
     generated = parents("families.generate")
-    assert generated.count(criterion_span[2]) == 2 * len(zdg.acceptance.sweep_specs()) == 494
+    assert generated.count(criterion_span[2]) == len(zdg.acceptance.sweep_specs()) == 247
     realized = parents("search.realize")
     assert realized and set(realized) == {criterion_span[3]}
     screened = parents("graph.prescreen")

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import os
 import shlex
 import subprocess
@@ -5,8 +7,8 @@ import sys
 from pathlib import Path
 
 from zdg.algebra import parse_table_csv, same_products
-from zdg.cli import _make_parser, main
-from zdg.search import Outcome
+from zdg.cli import _CONFIG_KEYS, _SEARCH_KEYS, _add_search_flags, _make_parser, main
+from zdg.search import Outcome, enumerate_tables, realize
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -243,6 +245,19 @@ def test_graph_of_round_trip(tmp_path, capsys, table6):
     assert dot_path.read_text().startswith("graph G {")
 
 
+def test_graph_of_a_graph_with_no_vertices_is_input_error(tmp_path, capsys):
+    # e*e = e and no nonzero zero divisor: the graph has no vertices, and its
+    # graph file would be empty, which the parser rejects; nothing is written
+    table_path = tmp_path / "t.csv"
+    table_path.write_text("*,0,e\n0,0,0\ne,0,e\n")
+    out_path, dot_path = tmp_path / "g.graph", tmp_path / "g.dot"
+    code, _, err = run(capsys, "graph-of", str(table_path), "--out", str(out_path),
+                       "--dot", str(dot_path))
+    assert code == 3
+    assert err.startswith("error: ")
+    assert not out_path.exists() and not dot_path.exists()
+
+
 def test_graph_of_agrees_with_gen(tmp_path, capsys):
     table_path = tmp_path / "t.csv"
     run(capsys, "gen", "fig5", "--m", "2", "--n", "1", "--v", "1", "--with-table",
@@ -288,6 +303,20 @@ def test_config_file_flag(tmp_path, capsys):
     assert code == 0  # explicit flag overrides the file
 
 
+def test_search_flags_are_the_library_keywords():
+    # each verb's search flags store under the keyword-only parameters of its
+    # library call, and every config-file key is one of them
+    keywords = {}
+    for verb, call in (("realize", realize), ("enumerate", enumerate_tables)):
+        params = inspect.signature(call).parameters.values()
+        keywords[verb] = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
+        parser = argparse.ArgumentParser()
+        _add_search_flags(parser, verb)
+        assert {a.dest for a in parser._actions} - {"help", "config"} == keywords[verb], verb
+    assert set(_SEARCH_KEYS) == keywords["realize"] | keywords["enumerate"]
+    assert set(_CONFIG_KEYS) <= set(_SEARCH_KEYS)
+
+
 def test_reproduce_single_criterion(capsys):
     code, out, _ = run(capsys, "reproduce", "--only", "1")
     assert code == 0
@@ -305,6 +334,7 @@ def test_readme_library_block_runs():
     scope = {}
     exec(block, scope)
     assert scope["out"].tag is Outcome.REALIZED and scope["out"].witness is not None
+    assert scope["traced"].witness == scope["out"].witness and scope["traced"].chain
     assert scope["report"].failures() == ()
     assert scope["state"].contradiction is None
 

@@ -7,6 +7,7 @@ import pytest
 from zdg import search
 from zdg.acceptance import brute_force_realizations
 from zdg.algebra import CayleyTable, emit_table_csv, same_products, validate
+from zdg.cli import parse_config_file
 from zdg.errors import InputError
 from zdg.families import FamilySpec, add_cap, add_edge, add_end, generate_graph
 from zdg.graph import (
@@ -17,12 +18,11 @@ from zdg.graph import (
     zero_divisor_graph,
 )
 from zdg.search import (
+    BUDGET,
     Outcome,
-    SearchConfig,
     SearchState,
     enumerate_tables,
     init_domains,
-    parse_config_file,
     propagate,
     realize,
 )
@@ -57,18 +57,6 @@ def test_single_edge_domains():
     assert st.domain_of("b", "b") == {"0", "a", "b"}
 
 
-def test_init_domains_keeps_the_callers_config(kn2_graph):
-    # a state follows its config, SearchConfig's defaults (no solution limit)
-    # when none is given; the initial domains depend on neither
-    cfg = SearchConfig(budget=7, max_solutions=2)
-    st = init_domains(kn2_graph, cfg)
-    assert st.config is cfg
-    default = init_domains(kn2_graph)
-    assert default.config == SearchConfig()
-    assert default.config.max_solutions is None
-    assert st.domains == default.domains and st.M == default.M
-
-
 def test_init_short_circuits_on_failed_prescreen():
     c5 = LabeledGraph(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "e")])
     assert init_domains(c5) is None
@@ -82,13 +70,37 @@ def test_init_domains_gates_like_realize(small_connected_graphs, census_graphs):
         assert (init_domains(g) is None) == prescreened, g.edges()
     one = LabeledGraph(["a"], [])
     two_parts = LabeledGraph(list("abcd"), [("a", "b"), ("c", "d")])
-    for g, config in ((one, None), (two_parts, None), (K2, SearchConfig(budget=0)),
-                      (K2, SearchConfig(max_solutions=0))):
+    for g in (one, two_parts):
         with pytest.raises(InputError) as expected:
-            realize(g, config)
+            realize(g)
         with pytest.raises(InputError) as got:
-            init_domains(g, config)
+            init_domains(g)
         assert str(got.value) == str(expected.value)
+    # the settings belong to the verbs that read them; init_domains takes none
+    with pytest.raises(InputError, match="budget must be positive"):
+        realize(K2, budget=0)
+    with pytest.raises(InputError, match="budget must be positive"):
+        enumerate_tables(K2, budget=0)
+    with pytest.raises(InputError, match="max_solutions must be >= 1"):
+        enumerate_tables(K2, max_solutions=0)
+
+
+def test_each_entry_point_takes_only_the_settings_it_reads(kn2_graph):
+    # keyword-only settings, and no setting a verb would ignore
+    for call in (lambda: realize(K2, max_solutions=1), lambda: realize(K2, 5),
+                 lambda: enumerate_tables(K2, explain=True), lambda: enumerate_tables(K2, 5),
+                 lambda: init_domains(K2, budget=5), lambda: SearchState(K2, 5)):
+        with pytest.raises(TypeError):
+            call()
+    assert not hasattr(init_domains(kn2_graph), "config")
+
+
+def test_init_domains_leaves_nothing_queued(sweep_graphs):
+    # the drain after the initial sweep empties the queue that the sweep's
+    # assignments fill
+    for code, g in sweep_graphs.items():
+        st = init_domains(g)
+        assert st.contradiction is None and not st._queue, code
 
 
 # --- propagate ------------------------------------------------------------------
@@ -187,7 +199,7 @@ def test_realize_precondition_errors():
     with pytest.raises(InputError):
         realize(LabeledGraph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]))
     with pytest.raises(InputError):
-        realize(K2, SearchConfig(budget=0))
+        realize(K2, budget=0)
 
 
 def test_realize_prescreen_short_circuit():
@@ -199,7 +211,7 @@ def test_realize_prescreen_short_circuit():
 
 
 def test_budget_exceeded(kn2_graph):
-    out = realize(kn2_graph, SearchConfig(budget=1))
+    out = realize(kn2_graph, budget=1)
     assert out.tag == Outcome.BUDGET_EXCEEDED
 
 
@@ -255,17 +267,16 @@ def test_early_exits_pinned(bench_graphs):
     lines = []
     for m, n in ((1, 1), (1, 2), (2, 1), (2, 2)):
         g = add_edge(fig("fig5", m=m, n=n, v=0), "x1", "x2")
-        for budget in (*range(1, 40), SearchConfig.budget):
-            out = realize(g, SearchConfig(budget=budget, explain=True))
+        for budget in (*range(1, 40), BUDGET):
+            out = realize(g, budget=budget, explain=True)
             s = out.stats
             lines.append(f"{m} {n} {budget} {out.tag.value} {out.reason} "
                          f"{s.nodes} {s.forced} {s.max_depth}")
             lines.extend(out.chain)
     assert len(bench_graphs[5]) == 21
-    for config in (SearchConfig(max_solutions=1), SearchConfig(max_solutions=3),
-                   SearchConfig(budget=5)):
+    for settings in ({"max_solutions": 1}, {"max_solutions": 3}, {"budget": 5}):
         for g in bench_graphs[5]:
-            res = enumerate_tables(g, config)
+            res = enumerate_tables(g, **settings)
             s = res.stats
             lines.append(f"{res.exhaustive} {res.budget_exceeded} "
                          f"{s.nodes} {s.forced} {s.max_depth} {len(res.tables)}")
@@ -281,7 +292,7 @@ def test_explain_chains_pinned(census_graphs):
     # on every connected graph with 6 and 7 vertices and on fig3(k,k,k,k), k <= 8
     lines = []
     for g in list(census_graphs) + [fig("fig3", m=k, n=k, u=k, v=k) for k in range(1, 9)]:
-        out = realize(g, SearchConfig(explain=True))
+        out = realize(g, explain=True)
         lines.append(out.tag.value)
         lines.extend(out.chain)
     assert len(lines) == 8781
@@ -339,8 +350,7 @@ def test_triple_filter_skips_only_noops(bench_graphs, sweep_graphs, monkeypatch)
             records.append((res.exhaustive, s.nodes, s.forced, s.max_depth,
                             [t.rows for t in res.tables], trails[-1]))
         for m, n in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            out = realize(add_edge(fig("fig5", m=m, n=n, v=0), "x1", "x2"),
-                          SearchConfig(explain=True))
+            out = realize(add_edge(fig("fig5", m=m, n=n, v=0), "x1", "x2"), explain=True)
             s = out.stats
             records.append((out.tag, out.reason, s.nodes, s.forced, s.max_depth,
                             out.chain, trails[-1]))
@@ -379,8 +389,12 @@ def test_triple_filter_skips_only_noops(bench_graphs, sweep_graphs, monkeypatch)
 
 
 def test_initial_sweep_acts_after_the_first_drain(sweep_graphs, monkeypatch):
-    # the known inner cells of (v1,v8,v8) are adjacency zeros, which are
-    # never queued, so only the sweep prunes v1 from v8*v8 and assigns it
+    # v1*v8 = v1 is an initial singleton. The drain visits (v1,v8,v8) while
+    # v1*v1 is still open, so v1 stays a candidate of v8*v8; (v2,v4,v1)
+    # forces v1*v1 = 0 later, and the drain never visits a triple again when
+    # only a candidate's product w*c changes. So only the sweep prunes v1
+    # from v8*v8 and assigns it. The sweep also reaches the triples that read
+    # only adjacency zeros, which are never queued.
     swept = []
     sweep = SearchState._sweep
 
@@ -412,7 +426,7 @@ def test_realize_fig3_ladder_past_the_recursion_limit():
 
 
 def test_explain_chain():
-    out = realize(fig("fig3", m=1, n=1, u=0, v=1), SearchConfig(explain=True))
+    out = realize(fig("fig3", m=1, n=1, u=0, v=1), explain=True)
     assert out.chain
     assert any("=" in line for line in out.chain)
 
@@ -436,13 +450,13 @@ def test_enumerate_matches_oracle_on_every_graph_up_to_4_vertices(small_connecte
 def test_realize_witness_is_first_enumerated_table(small_connected_graphs):
     # one search serves both verbs: realize stops at enumerate's first table
     for g in small_connected_graphs:
-        first = enumerate_tables(g, SearchConfig(max_solutions=1)).tables
+        first = enumerate_tables(g, max_solutions=1).tables
         witness = realize(g).witness
         assert first == (() if witness is None else (witness,)), g.edges()
 
 
 def test_enumerate_respects_limit():
-    res = enumerate_tables(K3, SearchConfig(max_solutions=2))
+    res = enumerate_tables(K3, max_solutions=2)
     assert len(res.tables) == 2
     assert not res.exhaustive
 
