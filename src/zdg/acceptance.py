@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -34,7 +35,7 @@ from .graph import (
     zero_divisor_graph,
 )
 from .search import Outcome, enumerate_tables, realize
-from .theorems import run_all
+from .theorems import coverage, run_all
 
 GOLDEN = {
     "fig3_2_2_1_2": FamilySpec("fig3", m=2, n=2, u=1, v=2),
@@ -342,13 +343,15 @@ def criterion_9(corpus: Corpus) -> tuple[bool, str]:
     tables += [(f"sweep[{i}]", t) for i, t in enumerate(corpus.sweep_tables)]
     tables += corpus.witnesses
     failures = []
+    counts: Counter[str] = Counter()
     for label, table in tables:
         report = run_all(table)
+        counts.update(c.claim for c in report.checks if c.applicable)
         for bad in report.failures():
             failures.append(f"{label}: {bad.line()}")
     if failures:
         return False, "; ".join(failures[:5])
-    return True, f"zero applicable-claim failures over {len(tables)} corpus tables"
+    return True, f"zero applicable-claim failures over {len(tables)} corpus tables; {coverage(counts)}"
 
 
 def criterion_10(corpus: Corpus) -> tuple[bool, str]:

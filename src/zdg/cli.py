@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .acceptance import run_acceptance
@@ -31,7 +32,7 @@ from .graph import (
     zero_divisor_graph,
 )
 from .search import Outcome, SearchStats, enumerate_tables, realize
-from .theorems import run_all
+from .theorems import coverage, run_all
 
 EXIT_OK = 0
 EXIT_UNREALIZABLE = 1
@@ -331,6 +332,7 @@ def _cmd_theorems(args) -> int:
     table = parse_table_csv(_read(args.table))
     report = run_all(table)
     sys.stdout.write(report.to_text())
+    print(coverage(Counter(c.claim for c in report.checks if c.applicable)))
     failures = report.failures()
     print("failures:", len(failures))
     return EXIT_OK if not failures else EXIT_INTERNAL

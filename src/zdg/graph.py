@@ -311,29 +311,35 @@ class DeltaWitness:
     z: str
 
 
-def _iter_delta_witnesses(g: LabeledGraph) -> Iterator[DeltaWitness]:
-    """Witnesses in lexicographic (a, b, s, z) order.
+def _witness_edges(g: LabeledGraph) -> Iterator[tuple[str, str, list[str], list[str]]]:
+    """``(a, b, caps, far)`` per ordered edge with a witness, in (a, b) order.
 
-    Both orientations of each edge are tried: the roles of a and b are
-    asymmetric in everything built on top of the witness.
+    Both orientations are tried, as a and b play different roles in a witness.
+    ``caps`` is C(a,b) and ``far`` the vertices at distance 3 from its caps,
+    both sorted. Each cap s has N(s) = {a, b}, so its distance-3 layer is
+    N(X) - X - {a, b} with X = N(a) | N(b) - {a, b}, whichever cap s is.
     """
-    for a in sorted(g.vertices):
+    names, masks = g.vertices, g.masks
+    caps_of: dict[int, list[str]] = {}
+    for v, m in sorted(zip(names, masks)):
+        caps_of.setdefault(m, []).append(v)
+    for a in sorted(names):
         for b in sorted(g.neighbors(a)):
-            for s in sorted(c_set(g, a, b)):
-                dist = distances_from(g, s)
-                for z in sorted(g.vertices):
-                    if dist[z] == 3:
-                        yield DeltaWitness(a, b, s, z)
+            caps = caps_of.get(1 << g.check_vertex(a) | 1 << g.check_vertex(b))
+            far = _layers(masks, g.check_vertex(caps[0]))[3:4] if caps else ()
+            if far:
+                yield a, b, caps, sorted(names[z] for z in _bits(far[0]))
 
 
 def find_delta_witness(g: LabeledGraph) -> DeltaWitness | None:
     """The first witness in lexicographic (a, b, s, z) order, or None."""
-    return next(_iter_delta_witnesses(g), None)
+    return next((DeltaWitness(a, b, c[0], f[0]) for a, b, c, f in _witness_edges(g)), None)
 
 
 def delta_witnesses(g: LabeledGraph) -> list[DeltaWitness]:
     """Every witness, in lexicographic (a, b, s, z) order."""
-    return list(_iter_delta_witnesses(g))
+    return [DeltaWitness(a, b, s, z)
+            for a, b, caps, far in _witness_edges(g) for s in caps for z in far]
 
 
 @dataclass(frozen=True)

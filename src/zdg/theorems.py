@@ -7,11 +7,13 @@ hard finding: on a valid table it would mean a bug (or a counterexample to
 the underlying mathematics, which the corpus sweep exists to rule out).
 
 ``run_all`` builds the table's zero-divisor graph once and derives all seven
-claims of a witness (Thm 2.4's five, Thm 2.6, Prop 2.8) from one partition;
-each public ``check_*`` builds the graph itself and selects its own claims.
+claims of a witness (Thm 2.4's five, Thm 2.6, Prop 2.8) from one partition,
+once per edge (a, b): they are the same for every witness (a, b, s, z) on it.
+Each public ``check_*`` builds the graph itself and selects its own claims.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import (
@@ -25,13 +27,17 @@ from .errors import InputError
 from .graph import (
     DeltaWitness,
     LabeledGraph,
-    delta_witnesses,
-    distances_from,
+    _bits,
+    _layers,
+    _witness_edges,
     is_internal_vertex,
     partition,
     t_set,
     zero_divisor_graph,
 )
+
+CLAIMS = ("lemma_2_1 prop_2_2.1 prop_2_2.2 thm_2_4.ideal_0ab thm_2_4.ideal_complement "
+          "thm_2_4.l_closed thm_2_4.case1_ideal thm_2_4.case2_subsemigroup thm_2_6 prop_2_8").split()
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,11 @@ class TheoremReport:
         return "\n".join(lines) + "\n" if lines else ""
 
 
+def coverage(counts: Counter[str]) -> str:
+    """The line ``applicable: <claim> <count>, ...`` over every claim, zeros included."""
+    return "applicable: " + ", ".join(f"{claim} {counts[claim]}" for claim in CLAIMS)
+
+
 def _holds_unless(claim: str, subject: str, bad: tuple[str, str, str] | None) -> ClaimCheck:
     """An applicable claim that holds unless ``bad`` is an ``x*y=z`` triple."""
     detail = "" if bad is None else "{}*{}={}".format(*bad)
@@ -77,11 +88,11 @@ def _vacuous(claim: str, subject: str, why: str) -> ClaimCheck:
 def _lemma_2_1(table: CayleyTable, g: LabeledGraph) -> list[ClaimCheck]:
     checks = []
     for x in sorted(g.vertices):
-        dist = distances_from(g, x)
-        far = sorted(v for v in g.vertices if dist[v] == 3)
-        if far:
+        layers = _layers(g.masks, g.check_vertex(x))
+        if len(layers) > 3:
+            far = min(g.vertices[v] for v in _bits(layers[3]))
             sq = table.mul(x, x)
-            detail = f"d({x},{far[0]})=3 and {x}*{x}={sq}"
+            detail = f"d({x},{far})=3 and {x}*{x}={sq}"
             checks.append(ClaimCheck("lemma_2_1", f"x={x}", True, sq != ZERO_NAME, detail))
     return checks or [_vacuous("lemma_2_1", "", "no pair at distance 3")]
 
@@ -190,9 +201,12 @@ def run_all(table: CayleyTable) -> TheoremReport:
     checks = _lemma_2_1(table, g)
     for b in sorted(g.vertices):
         checks += _prop_2_2(table, g, b)
-    witnesses = delta_witnesses(g)
-    for w in witnesses:
-        checks += _witness_claims(table, g, w)
-    if not witnesses:
+    edges = list(_witness_edges(g))
+    for a, b, caps, far in edges:
+        claims = _witness_claims(table, g, DeltaWitness(a, b, caps[0], far[0]))
+        for subject in (f"witness=({a},{b},{s},{z})" for s in caps for z in far):
+            checks += [ClaimCheck(c.claim, subject, c.applicable, c.holds, c.detail)
+                       for c in claims]
+    if not edges:
         checks += [_vacuous(c, "", "no witness") for c in ("thm_2_4", "thm_2_6", "prop_2_8")]
     return TheoremReport(tuple(checks))

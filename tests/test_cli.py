@@ -277,8 +277,15 @@ def test_theorems_cli(tmp_path, capsys):
         "--out-table", str(table_path))
     code, out, _ = run(capsys, "theorems", str(table_path))
     assert code == 0
-    assert "failures: 0" in out
-    assert "CLAIM lemma_2_1" in out
+    *claims, applicable, failures = out.splitlines()
+    assert all(line.startswith("CLAIM ") for line in claims)
+    assert "CLAIM lemma_2_1[x=y1] applicable holds d(y1,c1)=3 and y1*y1=y1" in claims
+    assert applicable == (
+        "applicable: lemma_2_1 6, prop_2_2.1 0, prop_2_2.2 1, thm_2_4.ideal_0ab 8, "
+        "thm_2_4.ideal_complement 8, thm_2_4.l_closed 8, thm_2_4.case1_ideal 0, "
+        "thm_2_4.case2_subsemigroup 0, thm_2_6 0, prop_2_8 0"
+    )
+    assert failures == "failures: 0"
 
 
 def test_verify_graph_mismatch(tmp_path, capsys):

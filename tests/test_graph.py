@@ -6,9 +6,10 @@ import random
 
 import pytest
 
+from zdg.acceptance import sweep_specs
 from zdg.algebra import CayleyTable
 from zdg.errors import InputError
-from zdg.families import FamilySpec, add_end, generate_graph
+from zdg.families import FamilySpec, add_end, generate_graph, generate_table
 from zdg.graph import (
     LabeledGraph,
     c_set,
@@ -302,6 +303,34 @@ def test_find_delta_witness(fig3_graph, kn2_graph):
     everything = delta_witnesses(fig3_graph)
     assert w in everything
     assert any(x.a == "b" and x.b == "a" for x in everything)  # both orientations
+
+
+def _delta_witness_reference(g):
+    """Every (a, b, s, z) with a ~ b, N(s) = {a, b} and d(s, z) = 3, by names."""
+    nbrs = {v: g.neighbors(v) for v in g.vertices}
+    return sorted(
+        (a, b, s, z)
+        for a in g.vertices for b in nbrs[a]
+        for s in g.vertices if nbrs[s] == {a, b}
+        for z in g.vertices if distance(g, s, z) == 3
+    )
+
+
+def test_delta_witnesses_match_their_definition(small_connected_graphs, census_graphs):
+    # the witness list read straight off the definition, on every graph
+    # with 2-7 vertices and on the graphs of the 247 sweep tables, these
+    # also with their vertex order reversed, so that it is not name order
+    sweep = [zero_divisor_graph(generate_table(spec)) for spec in sweep_specs()]
+    sweep += [LabeledGraph(g.vertices[::-1], g.edges()) for g in sweep]
+    total = 0
+    for g in list(small_connected_graphs) + list(census_graphs) + sweep:
+        want = _delta_witness_reference(g)
+        got = [(w.a, w.b, w.s, w.z) for w in delta_witnesses(g)]
+        assert got == want, g.edges()
+        first = find_delta_witness(g)
+        assert (first and (first.a, first.b, first.s, first.z)) == (want[0] if want else None)
+        total += len(got)
+    assert total == 360 + 1116 + 2 * 1656
 
 
 def test_partition_fig3(fig3_graph):

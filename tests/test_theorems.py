@@ -1,4 +1,5 @@
 import hashlib
+from collections import defaultdict
 
 import pytest
 
@@ -6,7 +7,7 @@ from zdg.acceptance import GOLDEN, load_golden_table, sweep_specs
 from zdg.algebra import CayleyTable
 from zdg.errors import InputError
 from zdg.families import FamilySpec, generate_table
-from zdg.graph import DeltaWitness, find_delta_witness, zero_divisor_graph
+from zdg.graph import DeltaWitness, delta_witnesses, find_delta_witness, zero_divisor_graph
 from zdg.theorems import (
     check_lemma_2_1,
     check_prop_2_2,
@@ -218,14 +219,38 @@ def test_planted_violation_fails_its_claim(claim):
     assert good.applicable and good.holds, good.line()
 
 
-def test_theorem_output_pinned():
+@pytest.fixture(scope="module")
+def golden_and_sweep():
+    """The 5 golden and 247 sweep tables."""
+    tables = [load_golden_table(name) for name in GOLDEN]
+    return tables + [generate_table(spec) for spec in sweep_specs()]
+
+
+def test_theorem_output_pinned(golden_and_sweep):
     # every claim line of run_all on the 5 golden and 247 sweep tables, in
     # order, pinned by one digest
-    tables = [load_golden_table(name) for name in GOLDEN]
-    tables += [generate_table(spec) for spec in sweep_specs()]
     text = "".join(
-        "\n".join(c.line() for c in run_all(t).checks) + "\n\n" for t in tables
+        "\n".join(c.line() for c in run_all(t).checks) + "\n\n" for t in golden_and_sweep
     )
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "e3ba194149fef8183c7b0d765c892e8ade76098ae7897d0333acbbc82fdf27e1"
     )
+
+
+def test_run_all_shares_witness_claims_like_the_checkers(golden_and_sweep):
+    # run_all checks each witness edge (a, b) once and gives every witness
+    # (a, b, s, z) on it the same seven checks; each witness's checks must
+    # be what the public checkers give for that witness alone
+    witnesses = 0
+    for t in golden_and_sweep:
+        by_subject = defaultdict(list)
+        for c in run_all(t).checks:
+            by_subject[c.subject].append(c)
+        ws = delta_witnesses(zero_divisor_graph(t))
+        assert sum(len(v) for k, v in by_subject.items() if k.startswith("witness=")) == 7 * len(ws)
+        for w in ws:
+            own = check_thm_2_4(t, w).checks + check_thm_2_6(t, w).checks
+            own += check_prop_2_8(t, w).checks
+            assert tuple(by_subject[f"witness=({w.a},{w.b},{w.s},{w.z})"]) == own
+        witnesses += len(ws)
+    assert witnesses == 1680
