@@ -8,7 +8,6 @@ certified exhaustive constraint search.
 from .algebra import (
     AssociativityFailure,
     CayleyTable,
-    Element,
     ValidationReport,
     annihilator,
     emit_table_csv,

@@ -26,14 +26,6 @@ def _check_name(name: str) -> None:
 
 
 @dataclass(frozen=True)
-class Element:
-    """A table element: small index plus display name. Index 0 is the zero."""
-
-    index: int
-    name: str
-
-
-@dataclass(frozen=True)
 class AssociativityFailure:
     """A triple (i, j, k) with (i*j)*k != i*(j*k), with both evaluated products."""
 
@@ -104,10 +96,6 @@ class CayleyTable:
     @property
     def order(self) -> int:
         return len(self.names)
-
-    @property
-    def elements(self) -> tuple[Element, ...]:
-        return tuple(Element(i, name) for i, name in enumerate(self.names))
 
     def index(self, name: str) -> int:
         try:

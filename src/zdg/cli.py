@@ -31,7 +31,7 @@ from .graph import (
     partition,
     zero_divisor_graph,
 )
-from .search import Outcome, SearchStats, enumerate_tables, realize
+from .search import BUDGET, Outcome, SearchStats, enumerate_tables, realize
 from .theorems import coverage, run_all
 
 EXIT_OK = 0
@@ -68,56 +68,12 @@ def _fmt_set(values) -> str:
 
 
 def _add_search_flags(p: argparse.ArgumentParser, verb: str) -> None:
-    p.add_argument("--budget", type=int, default=None, help="decision-node budget")
-    p.add_argument("--config", default=None, help="key=value config file")
+    # each flag stores under the library keyword of the same name, with its default
+    p.add_argument("--budget", type=int, default=BUDGET, help="decision-node budget")
     if verb == "realize":
         p.add_argument("--explain", action="store_true", help="print the deduction chain")
     else:
         p.add_argument("--max-solutions", type=int, default=None)
-
-
-# the keyword-only settings of realize and enumerate_tables; each search flag
-# stores under its keyword's name, and a config file takes the integer ones
-_SEARCH_KEYS = ("budget", "max_solutions", "explain")
-_CONFIG_KEYS = ("budget", "max_solutions")
-
-
-def parse_config_file(text: str) -> dict[str, int]:
-    """Parse a key=value config file; '#' starts a comment."""
-    out: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise InputError(f"config line {lineno}: expected key=value, got {raw!r}")
-        key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
-            raise InputError(f"config line {lineno}: unknown key {key!r}")
-        try:
-            out[key] = int(value)
-        except ValueError:
-            raise InputError(f"config line {lineno}: {key} needs an integer") from None
-    return out
-
-
-def _search_settings(args) -> dict:
-    """The search keywords: config-file keys, overridden by flags.
-
-    A verb takes a config-file key only if it defines the matching flag.
-    """
-    settings: dict = {}
-    if args.config:
-        settings.update(parse_config_file(_read(args.config)))
-        for key in settings:
-            if not hasattr(args, key):
-                raise InputError(f"config key {key!r} does not apply to {args.verb}")
-    for key in _SEARCH_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
-    return settings
 
 
 def _make_parser() -> _Parser:
@@ -228,7 +184,7 @@ def _print_stats(stats: SearchStats) -> None:
 
 def _cmd_realize(args) -> int:
     g = parse_graph_text(_read(args.graph))
-    out = realize(g, **_search_settings(args))
+    out = realize(g, budget=args.budget, explain=args.explain)
     print("outcome:", out.tag.value)
     _print_stats(out.stats)
     if out.reason:
@@ -246,7 +202,7 @@ def _cmd_realize(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     g = parse_graph_text(_read(args.graph))
-    res = enumerate_tables(g, **_search_settings(args))
+    res = enumerate_tables(g, budget=args.budget, max_solutions=args.max_solutions)
     print("solutions:", len(res.tables))
     print("exhaustive:", "yes" if res.exhaustive else "no")
     _print_stats(res.stats)

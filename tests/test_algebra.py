@@ -18,13 +18,6 @@ from zdg.errors import InputError
 TRIVIAL = CayleyTable(["0"], [[0]])
 
 
-def test_element_view(table3):
-    elements = table3.elements
-    assert elements[0].index == 0 and elements[0].name == "0"
-    assert [e.name for e in elements] == list(table3.names)
-    assert table3.index("y1") == elements[6].index
-
-
 def test_validate_golden_table(table3):
     report = validate(table3)
     assert report.commutative and report.zero_ok and report.associative

@@ -7,8 +7,8 @@ import sys
 from pathlib import Path
 
 from zdg.algebra import parse_table_csv, same_products
-from zdg.cli import _CONFIG_KEYS, _SEARCH_KEYS, _add_search_flags, _make_parser, main
-from zdg.search import Outcome, enumerate_tables, realize
+from zdg.cli import _add_search_flags, _make_parser, main
+from zdg.search import BUDGET, Outcome, enumerate_tables, realize
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -151,20 +151,13 @@ def test_realize_only_and_removed_flags_rejected(tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 3, argv
         assert "error:" in err
+    # a config file is no second way to set a search flag
     config_path = tmp_path / "search.cfg"
-    for key in ("parallel=2", "symmetry=off", "lemma21_pruning=off"):
-        config_path.write_text(key + "\n")
-        for verb in ("realize", "enumerate"):
-            code, _, err = run(capsys, verb, str(graph_path), "--config", str(config_path))
-            assert code == 3, (verb, key)
-            assert f"unknown key {key.split('=')[0]!r}" in err
-    # a config key whose flag the verb does not define is rejected like the flag
-    c4_path = tmp_path / "c4e.graph"
-    c4_path.write_text("a b c d e\na c\nc b\nb d\nd a\nc e\n")
-    config_path.write_text("max_solutions=3\n")
-    code, _, err = run(capsys, "realize", str(c4_path), "--config", str(config_path))
-    assert code == 3
-    assert "config key 'max_solutions' does not apply to realize" in err
+    config_path.write_text("budget=1\n")
+    for verb in ("realize", "enumerate"):
+        code, _, err = run(capsys, verb, str(graph_path), "--config", str(config_path))
+        assert code == 3, verb
+        assert "error: unrecognized arguments: --config" in err
 
 
 def test_analyze_output(tmp_path, capsys):
@@ -204,10 +197,7 @@ def test_missing_file_is_input_error(capsys):
 def test_non_utf8_file_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"\xff\xfe\x00bad")
-    graph_path = tmp_path / "g.graph"
-    run(capsys, "gen", "kn2", "--n", "4", "--out-graph", str(graph_path))
-    for argv in (("realize", str(bad)), ("verify", str(bad)),
-                 ("realize", str(graph_path), "--config", str(bad))):
+    for argv in (("realize", str(bad)), ("verify", str(bad))):
         code, _, err = run(capsys, *argv)
         assert code == 3, argv
         assert err.startswith(f"error: cannot read {bad}: "), err
@@ -298,30 +288,21 @@ def test_verify_graph_mismatch(tmp_path, capsys):
     assert "graph-match: no" in out
 
 
-def test_config_file_flag(tmp_path, capsys):
-    graph_path = tmp_path / "g.graph"
-    run(capsys, "gen", "kn2", "--n", "4", "--out-graph", str(graph_path))
-    config_path = tmp_path / "search.cfg"
-    config_path.write_text("budget=1\n")
-    code, out, _ = run(capsys, "realize", str(graph_path), "--config", str(config_path))
-    assert code == 2  # the config's tiny budget wins
-    code, out, _ = run(capsys, "realize", str(graph_path), "--config", str(config_path),
-                       "--budget", "100000")
-    assert code == 0  # explicit flag overrides the file
-
-
 def test_search_flags_are_the_library_keywords():
     # each verb's search flags store under the keyword-only parameters of its
-    # library call, and every config-file key is one of them
-    keywords = {}
-    for verb, call in (("realize", realize), ("enumerate", enumerate_tables)):
+    # library call, and each flag's default is the parameter's default
+    expected = {
+        "realize": (realize, {"budget": BUDGET, "explain": False}),
+        "enumerate": (enumerate_tables, {"budget": BUDGET, "max_solutions": None}),
+    }
+    for verb, (call, defaults) in expected.items():
         params = inspect.signature(call).parameters.values()
-        keywords[verb] = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
+        keywords = {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
+        assert keywords == defaults, verb
         parser = argparse.ArgumentParser()
         _add_search_flags(parser, verb)
-        assert {a.dest for a in parser._actions} - {"help", "config"} == keywords[verb], verb
-    assert set(_SEARCH_KEYS) == keywords["realize"] | keywords["enumerate"]
-    assert set(_CONFIG_KEYS) <= set(_SEARCH_KEYS)
+        flags = {a.dest: a.default for a in parser._actions if a.dest != "help"}
+        assert flags == keywords, verb
 
 
 def test_reproduce_single_criterion(capsys):

@@ -7,7 +7,6 @@ import pytest
 from zdg import search
 from zdg.acceptance import brute_force_realizations
 from zdg.algebra import CayleyTable, emit_table_csv, same_products, validate
-from zdg.cli import parse_config_file
 from zdg.errors import InputError
 from zdg.families import FamilySpec, add_cap, add_edge, add_end, generate_graph
 from zdg.graph import (
@@ -580,20 +579,3 @@ def test_witness_replay_never_leaves_domains():
     for x in witness.names:
         for y in witness.names:
             assert st.value_of(x, y) == witness.mul(x, y)
-
-
-# --- config files ----------------------------------------------------------------------
-
-
-def test_parse_config_file():
-    text = "budget = 500\n# comment\nmax_solutions=7\n"
-    assert parse_config_file(text) == {"budget": 500, "max_solutions": 7}
-    with pytest.raises(InputError):
-        parse_config_file("nonsense\n")
-    with pytest.raises(InputError):
-        parse_config_file("budget=abc\n")
-    with pytest.raises(InputError):
-        parse_config_file("mystery=1\n")
-    for key in ("symmetry=off", "lemma21_pruning=off", "lemma21_pruning=on"):
-        with pytest.raises(InputError, match=f"unknown key {key.split('=')[0]!r}"):
-            parse_config_file(key + "\n")
