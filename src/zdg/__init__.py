@@ -10,11 +10,11 @@ from .algebra import (
     CayleyTable,
     ValidationReport,
     annihilator,
+    closure_violation,
     emit_table_csv,
+    ideal_violation,
     idempotent_power,
     idempotents,
-    is_ideal,
-    is_subsemigroup,
     parse_table_csv,
     same_products,
     validate,
@@ -38,10 +38,9 @@ from .graph import (
     core,
     delta_witnesses,
     diameter,
-    distance,
+    distances_from,
     emit_dot,
     emit_graph_text,
-    find_delta_witness,
     is_isomorphic,
     isomorphisms,
     necessary_conditions,

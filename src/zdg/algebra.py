@@ -177,27 +177,20 @@ def idempotents(table: CayleyTable) -> set[str]:
 
 
 def idempotent_power(table: CayleyTable, x: str) -> str:
-    """The idempotent power of x, built constructively.
+    """The first idempotent among x, x^2, x^3, ...
 
-    Walks x, x^2, x^3, ... until the first repetition x^n = x^m (m < n),
-    takes r = n - m and the smallest k with k*r >= m; x^(k*r) is idempotent.
+    The powers of x run into a cycle. The cycle is a group, so it holds
+    exactly one idempotent, and no power before the cycle is idempotent
+    (x^k = x^2k puts x^k on the cycle). Tail and cycle together take at most
+    ``table.order`` steps; a table with no idempotent power of x in that many
+    steps is not associative, and raises InputError.
     """
-    i = table.index(x)
-    powers = [i]  # powers[t] = x^(t+1)
-    seen = {i: 1}
-    while True:
-        nxt = table.rows[powers[-1]][i]
-        exponent = len(powers) + 1
-        if nxt in seen:
-            m = seen[nxt]
-            r = exponent - m
-            k = 1
-            while k * r < m:
-                k += 1
-            result = powers[k * r - 1]
-            return table.names[result]
-        seen[nxt] = exponent
-        powers.append(nxt)
+    i = p = table.index(x)
+    for _ in range(table.order):
+        if table.rows[p][p] == p:
+            return table.names[p]
+        p = table.rows[p][i]
+    raise InputError(f"no power of {x!r} is idempotent: the table is not associative")
 
 
 def annihilator(table: CayleyTable, x: str) -> set[str]:
@@ -220,10 +213,6 @@ def closure_violation(
     return None
 
 
-def is_subsemigroup(table: CayleyTable, subset: Iterable[str]) -> bool:
-    return closure_violation(table, subset) is None
-
-
 def ideal_violation(
     table: CayleyTable, subset: Iterable[str]
 ) -> tuple[str, str, str] | None:
@@ -236,10 +225,6 @@ def ideal_violation(
             if p not in members:
                 return (table.names[i], table.names[j], table.names[p])
     return None
-
-
-def is_ideal(table: CayleyTable, subset: Iterable[str]) -> bool:
-    return ideal_violation(table, subset) is None
 
 
 # --- file format ----------------------------------------------------------

@@ -16,7 +16,15 @@ from pathlib import Path
 from .acceptance import run_acceptance
 from .algebra import emit_table_csv, parse_table_csv, validate
 from .errors import InputError
-from .families import FAMILIES, FamilySpec, add_cap, add_end, generate_graph, generate_table
+from .families import (
+    FAMILIES,
+    PARAMETER_NAMES,
+    FamilySpec,
+    add_cap,
+    add_end,
+    generate_graph,
+    generate_table,
+)
 from .graph import (
     classify_special,
     core,
@@ -103,12 +111,8 @@ def _make_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="generate a family graph (and optionally its table)")
     p.add_argument("family", choices=FAMILIES)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--u", type=int, default=0)
-    p.add_argument("--v", type=int, default=0)
-    p.add_argument("--w", type=int, default=0)
-    p.add_argument("--caps", type=int, default=0)
+    for name in PARAMETER_NAMES:
+        p.add_argument(f"--{name}", type=int, default=0)
     p.add_argument("--at", default=None, help="kn2 cap anchors, e.g. x1,x2")
     p.add_argument("--end", default=None, help="attach one extra end vertex here")
     p.add_argument("--with-table", action="store_true")
@@ -241,12 +245,7 @@ def _cmd_graph_of(args) -> int:
 
 
 def _spec_from_args(args) -> FamilySpec:
-    fields = {}
-    for key in ("m", "n", "u", "v", "w", "caps"):
-        value = getattr(args, key)
-        if value:
-            fields[key] = value
-    return FamilySpec(args.family, **fields)
+    return FamilySpec(args.family, **{name: getattr(args, name) for name in PARAMETER_NAMES})
 
 
 def _cmd_gen(args) -> int:

@@ -28,7 +28,7 @@ shipped.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from .algebra import CayleyTable, ZERO_NAME, validate
@@ -59,7 +59,7 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise InputError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        for field in ("m", "n", "u", "v", "w", "caps"):
+        for field in PARAMETER_NAMES:
             value = getattr(self, field)
             if not isinstance(value, int) or value < 0:
                 raise InputError(f"{self.family}: parameter {field} must be a non-negative integer")
@@ -73,6 +73,9 @@ class FamilySpec:
             raise InputError("fig5 requires m >= 1 and n >= 1")
         if self.family == "kn2" and self.n < 4:
             raise InputError("kn2 requires n >= 4")
+
+
+PARAMETER_NAMES = tuple(f.name for f in fields(FamilySpec)[1:])
 
 
 def _names(prefix: str, count: int) -> list[str]:

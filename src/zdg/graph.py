@@ -202,11 +202,6 @@ def distances_from(g: LabeledGraph, source: str) -> dict[str, float]:
     return dist
 
 
-def distance(g: LabeledGraph, x: str, y: str) -> float:
-    g.check_vertex(y)
-    return distances_from(g, x)[y]
-
-
 def diameter(g: LabeledGraph) -> float:
     """Largest pairwise distance; 0 for graphs with at most one vertex."""
     adj = g.masks
@@ -329,11 +324,6 @@ def _witness_edges(g: LabeledGraph) -> Iterator[tuple[str, str, list[str], list[
             far = _layers(masks, g.check_vertex(caps[0]))[3:4] if caps else ()
             if far:
                 yield a, b, caps, sorted(names[z] for z in _bits(far[0]))
-
-
-def find_delta_witness(g: LabeledGraph) -> DeltaWitness | None:
-    """The first witness in lexicographic (a, b, s, z) order, or None."""
-    return next((DeltaWitness(a, b, c[0], f[0]) for a, b, c, f in _witness_edges(g)), None)
 
 
 def delta_witnesses(g: LabeledGraph) -> list[DeltaWitness]:

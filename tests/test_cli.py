@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import zdg
 from zdg.algebra import parse_table_csv, same_products
 from zdg.cli import _add_search_flags, _make_parser, main
 from zdg.search import BUDGET, Outcome, enumerate_tables, realize
@@ -325,6 +326,24 @@ def test_readme_library_block_runs():
     assert scope["traced"].witness == scope["out"].witness and scope["traced"].chain
     assert scope["report"].failures() == ()
     assert scope["state"].contradiction is None
+
+
+def test_public_names_pinned():
+    # one public name per question: a removed name or a returning wrapper
+    # shows up in this list's diff
+    assert sorted(zdg.__all__) == [
+        "AssociativityFailure", "CayleyTable", "CoreDecomposition", "DeltaWitness",
+        "EnumerationResult", "FamilySpec", "InputError", "LabeledGraph", "Outcome",
+        "RealizationOutcome", "StructurePartition", "TheoremReport", "ValidationReport",
+        "add_cap", "add_edge", "add_end", "algebra", "annihilator", "c_set",
+        "classify_special", "closure_violation", "core", "delta_witnesses", "diameter",
+        "distances_from", "emit_dot", "emit_graph_text", "emit_table_csv",
+        "enumerate_tables", "errors", "families", "generate_graph", "generate_table",
+        "graph", "ideal_violation", "idempotent_power", "idempotents", "init_domains",
+        "is_isomorphic", "isomorphisms", "necessary_conditions", "parse_graph_text",
+        "parse_table_csv", "partition", "propagate", "realize", "run_all",
+        "same_products", "search", "t_set", "theorems", "validate", "zero_divisor_graph",
+    ]
 
 
 def test_readme_command_lines_parse():

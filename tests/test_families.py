@@ -16,7 +16,7 @@ from zdg.families import (
     generate_graph,
     generate_table,
 )
-from zdg.graph import distance, zero_divisor_graph
+from zdg.graph import distances_from, zero_divisor_graph
 
 
 def test_fig3_graph_shape():
@@ -24,7 +24,7 @@ def test_fig3_graph_shape():
     assert g.n == 10
     assert g.degree("y1") == 2
     assert g.degree("v1") == 1
-    assert distance(g, "y1", "v1") == 3
+    assert distances_from(g, "y1")["v1"] == 3
 
 
 def test_fig5_graph_shape():

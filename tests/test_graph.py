@@ -17,11 +17,9 @@ from zdg.graph import (
     core,
     delta_witnesses,
     diameter,
-    distance,
     distances_from,
     emit_dot,
     emit_graph_text,
-    find_delta_witness,
     is_isomorphic,
     is_connected,
     is_internal_vertex,
@@ -107,18 +105,18 @@ def test_self_annihilator_is_isolated_vertex():
 
 
 def test_distances(fig3_graph):
-    assert distance(fig3_graph, "y1", "v1") == 3
-    assert distance(fig3_graph, "y1", "y1") == 0
+    assert distances_from(fig3_graph, "y1")["v1"] == 3
+    assert distances_from(fig3_graph, "y1")["y1"] == 0
     assert diameter(fig3_graph) == 3
     g5 = generate_graph(FamilySpec("fig5", m=2, n=2, v=2))
-    assert distance(g5, "c1", "y1") == 3
+    assert distances_from(g5, "c1")["y1"] == 3
     with pytest.raises(InputError):
-        distance(fig3_graph, "y1", "zzz")
+        distances_from(fig3_graph, "zzz")
 
 
 def test_distance_infinite_when_disconnected():
     g = LabeledGraph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
-    assert math.isinf(distance(g, "a", "c"))
+    assert math.isinf(distances_from(g, "a")["c"])
     assert math.isinf(diameter(g))
 
 
@@ -294,14 +292,13 @@ def test_end_sets(fig3_graph):
 
 
 def test_find_delta_witness(fig3_graph, kn2_graph):
-    w = find_delta_witness(fig3_graph)
-    assert (w.a, w.b, w.s, w.z) == ("a", "b", "y1", "v1")
-    assert find_delta_witness(kn2_graph) is None
-    g5 = generate_graph(FamilySpec("fig5", m=1, n=1, v=0))
-    w5 = find_delta_witness(g5)
-    assert (w5.a, w5.b, w5.s, w5.z) == ("a", "b", "c1", "y1")
     everything = delta_witnesses(fig3_graph)
-    assert w in everything
+    w = everything[0]
+    assert (w.a, w.b, w.s, w.z) == ("a", "b", "y1", "v1")
+    assert delta_witnesses(kn2_graph) == []
+    g5 = generate_graph(FamilySpec("fig5", m=1, n=1, v=0))
+    w5 = delta_witnesses(g5)[0]
+    assert (w5.a, w5.b, w5.s, w5.z) == ("a", "b", "c1", "y1")
     assert any(x.a == "b" and x.b == "a" for x in everything)  # both orientations
 
 
@@ -312,7 +309,7 @@ def _delta_witness_reference(g):
         (a, b, s, z)
         for a in g.vertices for b in nbrs[a]
         for s in g.vertices if nbrs[s] == {a, b}
-        for z in g.vertices if distance(g, s, z) == 3
+        for z in g.vertices if distances_from(g, s)[z] == 3
     )
 
 
@@ -327,14 +324,12 @@ def test_delta_witnesses_match_their_definition(small_connected_graphs, census_g
         want = _delta_witness_reference(g)
         got = [(w.a, w.b, w.s, w.z) for w in delta_witnesses(g)]
         assert got == want, g.edges()
-        first = find_delta_witness(g)
-        assert (first and (first.a, first.b, first.s, first.z)) == (want[0] if want else None)
         total += len(got)
     assert total == 360 + 1116 + 2 * 1656
 
 
 def test_partition_fig3(fig3_graph):
-    w = find_delta_witness(fig3_graph)
+    w = delta_witnesses(fig3_graph)[0]
     part = partition(fig3_graph, w)
     assert part.ab == {"a", "b"}
     assert part.c_ab == {"y1", "y2"}
@@ -348,12 +343,12 @@ def test_partition_fig3(fig3_graph):
 
 def test_partition_fig5_and_fig4():
     g5 = generate_graph(FamilySpec("fig5", m=2, n=2, v=2))
-    w = find_delta_witness(g5)
+    w = delta_witnesses(g5)[0]
     part = partition(g5, w)
     assert part.b_set == {"x1", "x2", "v1", "v2"}
     assert part.l_set == {"y1", "y2"}
     g4 = generate_graph(FamilySpec("fig4", caps=2, u=1, v=1, w=2))
-    w4 = find_delta_witness(g4)
+    w4 = delta_witnesses(g4)[0]
     part4 = partition(g4, w4)
     assert part4.b_set == {"u1", "v1", "d"}
     assert part4.l_set == {"w1", "w2"}

@@ -7,62 +7,62 @@ from zdg.acceptance import GOLDEN, load_golden_table, sweep_specs
 from zdg.algebra import CayleyTable
 from zdg.errors import InputError
 from zdg.families import FamilySpec, generate_table
-from zdg.graph import DeltaWitness, delta_witnesses, find_delta_witness, zero_divisor_graph
-from zdg.theorems import (
-    check_lemma_2_1,
-    check_prop_2_2,
-    check_prop_2_8,
-    check_thm_2_4,
-    check_thm_2_6,
-    run_all,
-)
+from zdg.graph import delta_witnesses, zero_divisor_graph
+from zdg.theorems import TheoremReport, _claims, _witness_claims, run_all
+
+
+def _check(table, prefix, subject=None):
+    """The claims of ``_claims(table)`` named ``prefix``..., on ``subject`` if given."""
+    return TheoremReport(tuple(
+        c for c in _claims(table)
+        if c.claim.startswith(prefix) and subject in (None, c.subject)
+    ))
 
 
 def _by_claim(report, claim):
     return [c for c in report.checks if c.claim == claim]
 
 
+W_AB = "witness=(a,b,y1,v1)"
+W_BA = "witness=(b,a,y1,v1)"
+
+
 def test_square_nonzero_checker(table3, table5):
-    report = check_lemma_2_1(table3)
+    report = _check(table3, "lemma_2_1")
     subjects = {c.subject for c in report.checks if c.applicable}
     assert "x=y1" in subjects and "x=u1" in subjects
     assert not report.failures()
-    report5 = check_lemma_2_1(table5)
+    report5 = _check(table5, "lemma_2_1")
     assert any(c.subject == "x=c1" and c.holds for c in report5.checks)
 
 
 def test_square_nonzero_vacuous_on_small_diameter():
     # null semigroup on two generators: diameter 1, nothing at distance 3
     table = CayleyTable(["0", "a", "b"], [[0, 0, 0], [0, 0, 0], [0, 0, 0]])
-    report = check_lemma_2_1(table)
-    assert all(not c.applicable for c in report.checks)
+    report = _check(table, "lemma_2_1")
+    assert report.checks and all(not c.applicable for c in report.checks)
 
 
 def test_end_vertex_checker(table3, table6):
-    report = check_prop_2_2(table3, "a")
+    report = _check(table3, "prop_2_2", "b=a")
     part1 = _by_claim(report, "prop_2_2.1")[0]
     part2 = _by_claim(report, "prop_2_2.2")[0]
     assert part1.applicable and part1.holds
     assert part2.applicable and part2.holds
 
-    report = check_prop_2_2(table6, "x1")
+    report = _check(table6, "prop_2_2", "b=x1")
     part1 = _by_claim(report, "prop_2_2.1")[0]
     part2 = _by_claim(report, "prop_2_2.2")[0]
     assert not part1.applicable  # x1*x1 = 0
     assert part2.applicable and part2.holds
 
     # an end vertex is vacuous for part 2
-    report = check_prop_2_2(table3, "u1")
+    report = _check(table3, "prop_2_2", "b=u1")
     assert not _by_claim(report, "prop_2_2.2")[0].applicable
-
-    with pytest.raises(InputError):
-        check_prop_2_2(table3, "0")
 
 
 def test_main_structure_checker(table3):
-    g = zero_divisor_graph(table3)
-    w = find_delta_witness(g)
-    report = check_thm_2_4(table3, w)
+    report = _check(table3, "thm_2_4", W_AB)
     names = {c.claim: c for c in report.checks}
     assert names["thm_2_4.ideal_0ab"].holds
     assert names["thm_2_4.ideal_complement"].holds
@@ -70,16 +70,13 @@ def test_main_structure_checker(table3):
     assert not names["thm_2_4.case1_ideal"].applicable  # a has an end vertex
     assert not report.failures()
     # flipped orientation: the end-free endpoint plays the internal role
-    flipped = DeltaWitness("b", "a", w.s, w.z)
-    report2 = check_thm_2_4(table3, flipped)
+    report2 = _check(table3, "thm_2_4", W_BA)
     case2 = {c.claim: c for c in report2.checks}["thm_2_4.case2_subsemigroup"]
     assert case2.applicable and case2.holds
 
 
 def test_main_structure_checker_on_square_family(table5):
-    g = zero_divisor_graph(table5)
-    w = find_delta_witness(g)
-    report = check_thm_2_4(table5, w)
+    report = _check(table5, "thm_2_4", "witness=(a,b,c1,y1)")
     names = {c.claim: c for c in report.checks}
     assert names["thm_2_4.l_closed"].holds  # y1*y2 stays inside L
     assert not names["thm_2_4.case2_subsemigroup"].applicable  # b*b = 0
@@ -87,34 +84,22 @@ def test_main_structure_checker_on_square_family(table5):
 
 
 def test_two_singleton_ideals_checker(table3, table5):
-    g = zero_divisor_graph(table3)
-    w = find_delta_witness(g)
-    flipped = DeltaWitness("b", "a", w.s, w.z)
-    report = check_thm_2_6(table3, flipped)
-    check = report.checks[0]
+    [check] = _check(table3, "thm_2_6", W_BA).checks
     assert check.applicable and check.holds
     # on the square family the roles never line up: b*b = 0 there
-    g5 = zero_divisor_graph(table5)
-    w5 = find_delta_witness(g5)
-    assert not check_thm_2_6(table5, w5).checks[0].applicable
+    [check5] = _check(table5, "thm_2_6", "witness=(a,b,c1,y1)").checks
+    assert not check5.applicable
 
 
 def test_cap_adjunction_checker(table3):
-    g = zero_divisor_graph(table3)
-    w = find_delta_witness(g)
-    flipped = DeltaWitness("b", "a", w.s, w.z)
-    report = check_prop_2_8(table3, flipped)
-    check = report.checks[0]
+    [check] = _check(table3, "prop_2_8", W_BA).checks
     assert check.applicable and check.holds
     assert check.detail == "c=y1"  # y1*u1 = y1 and y1*y1 = d keep the set closed
 
 
 def test_cap_adjunction_both_internal():
     table = generate_table(FamilySpec("fig5", m=2, n=2, v=0))
-    g = zero_divisor_graph(table)
-    w = find_delta_witness(g)
-    report = check_prop_2_8(table, w)
-    check = report.checks[0]
+    [check] = _check(table, "prop_2_8", "witness=(a,b,c1,y1)").checks
     assert check.applicable and check.holds
     assert check.detail.startswith("c=c")
 
@@ -149,52 +134,49 @@ def test_report_serialization_is_stable(table6):
 
 
 FIG3 = "fig3_2_2_1_2"
-W_AB = (DeltaWitness("a", "b", "y1", "v1"),)
-W_BA = (DeltaWitness("b", "a", "y1", "v1"),)
 
-# claim: (table, planted cells x*y := z, checker, its arguments, the failing line).
+# claim: (table, planted cells x*y := z, the claim's subject, the failing line).
 # Every planted table keeps its zero-divisor graph, so the witness stays valid.
 PLANTED = {
     "lemma_2_1": (
-        FIG3, [("y1", "y1", "0")], check_lemma_2_1, (),
+        FIG3, [("y1", "y1", "0")], "x=y1",
         "CLAIM lemma_2_1[x=y1] applicable fails d(y1,v1)=3 and y1*y1=0",
     ),
     "prop_2_2.1": (
-        FIG3, [("u1", "u1", "a")], check_prop_2_2, ("a",),
+        FIG3, [("u1", "u1", "a")], "b=a",
         "CLAIM prop_2_2.1[b=a] applicable fails u1*u1=a",
     ),
     # x1*y2 = a pushes a product out of the ideal {0, x1}
     "prop_2_2.2": (
-        "kn2_4", [("x1", "y2", "a")], check_prop_2_2, ("x1",),
+        "kn2_4", [("x1", "y2", "a")], "b=x1",
         "CLAIM prop_2_2.2[b=x1] applicable fails x1*y2=a",
     ),
     "thm_2_4.ideal_0ab": (
-        FIG3, [("a", "a", "d")], check_thm_2_4, W_AB,
+        FIG3, [("a", "a", "d")], W_AB,
         "CLAIM thm_2_4.ideal_0ab[witness=(a,b,y1,v1)] applicable fails a*a=d",
     ),
     "thm_2_4.ideal_complement": (
-        FIG3, [("a", "a", "y1")], check_thm_2_4, W_AB,
+        FIG3, [("a", "a", "y1")], W_AB,
         "CLAIM thm_2_4.ideal_complement[witness=(a,b,y1,v1)] applicable fails a*a=y1",
     ),
     "thm_2_4.l_closed": (
-        FIG3, [("v1", "v1", "a")], check_thm_2_4, W_AB,
+        FIG3, [("v1", "v1", "a")], W_AB,
         "CLAIM thm_2_4.l_closed[witness=(a,b,y1,v1)] applicable fails v1*v1=a",
     ),
     "thm_2_4.case1_ideal": (
-        FamilySpec("fig5", m=2, n=2, v=0), [("a", "a", "c1")], check_thm_2_4,
-        (DeltaWitness("a", "b", "c1", "y1"),),
+        FamilySpec("fig5", m=2, n=2, v=0), [("a", "a", "c1")], "witness=(a,b,c1,y1)",
         "CLAIM thm_2_4.case1_ideal[witness=(a,b,c1,y1)] applicable fails a*a=c1",
     ),
     "thm_2_4.case2_subsemigroup": (
-        FIG3, [("a", "a", "y1")], check_thm_2_4, W_BA,
+        FIG3, [("a", "a", "y1")], W_BA,
         "CLAIM thm_2_4.case2_subsemigroup[witness=(b,a,y1,v1)] applicable fails a*a=y1",
     ),
     "thm_2_6": (
-        FIG3, [("a", "a", "d")], check_thm_2_6, W_BA,
+        FIG3, [("a", "a", "d")], W_BA,
         "CLAIM thm_2_6[witness=(b,a,y1,v1)] applicable fails a*a=d",
     ),
     "prop_2_8": (
-        FIG3, [("a", "a", "y1"), ("a", "v1", "y2")], check_prop_2_8, W_BA,
+        FIG3, [("a", "a", "y1"), ("a", "v1", "y2")], W_BA,
         "CLAIM prop_2_8[witness=(b,a,y1,v1)] applicable fails no cap works",
     ),
 }
@@ -202,20 +184,20 @@ PLANTED = {
 
 @pytest.mark.parametrize("claim", PLANTED)
 def test_planted_violation_fails_its_claim(claim):
-    # run_all refuses these tables (they are not associative), so each
-    # claim's own checker is called
-    base, cells, check, args, line = PLANTED[claim]
+    # run_all refuses these tables (they are not associative), so the
+    # claims come from _claims, which skips that check
+    base, cells, subject, line = PLANTED[claim]
     table = load_golden_table(base) if isinstance(base, str) else generate_table(base)
     planted = table
     for x, y, z in cells:
         planted = planted.with_cell(x, y, z)
     assert zero_divisor_graph(planted).same_graph(zero_divisor_graph(table))
-    [bad] = [c for c in check(planted, *args).checks if c.line() == line]
+    with pytest.raises(InputError):
+        run_all(planted)
+    [bad] = [c for c in _check(planted, claim, subject).checks if c.line() == line]
     assert bad.claim == claim and bad.applicable and bad.holds is False
     # the same claim holds on the table the violation was planted in
-    [good] = [
-        c for c in check(table, *args).checks if (c.claim, c.subject) == (claim, bad.subject)
-    ]
+    [good] = _by_claim(_check(table, claim, subject), claim)
     assert good.applicable and good.holds, good.line()
 
 
@@ -240,17 +222,17 @@ def test_theorem_output_pinned(golden_and_sweep):
 def test_run_all_shares_witness_claims_like_the_checkers(golden_and_sweep):
     # run_all checks each witness edge (a, b) once and gives every witness
     # (a, b, s, z) on it the same seven checks; each witness's checks must
-    # be what the public checkers give for that witness alone
+    # be what _witness_claims gives for that witness alone
     witnesses = 0
     for t in golden_and_sweep:
         by_subject = defaultdict(list)
         for c in run_all(t).checks:
             by_subject[c.subject].append(c)
-        ws = delta_witnesses(zero_divisor_graph(t))
+        g = zero_divisor_graph(t)
+        ws = delta_witnesses(g)
         assert sum(len(v) for k, v in by_subject.items() if k.startswith("witness=")) == 7 * len(ws)
         for w in ws:
-            own = check_thm_2_4(t, w).checks + check_thm_2_6(t, w).checks
-            own += check_prop_2_8(t, w).checks
-            assert tuple(by_subject[f"witness=({w.a},{w.b},{w.s},{w.z})"]) == own
+            own = _witness_claims(t, g, w)
+            assert by_subject[f"witness=({w.a},{w.b},{w.s},{w.z})"] == own
         witnesses += len(ws)
     assert witnesses == 1680
