@@ -9,12 +9,9 @@ from .algebra import (
     AssociativityFailure,
     CayleyTable,
     ValidationReport,
-    annihilator,
     closure_violation,
     emit_table_csv,
     ideal_violation,
-    idempotent_power,
-    idempotents,
     parse_table_csv,
     same_products,
     validate,
@@ -60,5 +57,16 @@ from .search import (
 )
 from .theorems import TheoremReport, run_all
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AssociativityFailure", "CayleyTable", "CoreDecomposition", "DeltaWitness",
+    "EnumerationResult", "FamilySpec", "InputError", "LabeledGraph", "Outcome",
+    "RealizationOutcome", "StructurePartition", "TheoremReport", "ValidationReport",
+    "add_cap", "add_edge", "add_end", "c_set", "classify_special", "closure_violation",
+    "core", "delta_witnesses", "diameter", "distances_from", "emit_dot",
+    "emit_graph_text", "emit_table_csv", "enumerate_tables", "generate_graph",
+    "generate_table", "ideal_violation", "init_domains", "is_isomorphic", "isomorphisms",
+    "necessary_conditions", "parse_graph_text", "parse_table_csv", "partition",
+    "propagate", "realize", "run_all", "same_products", "t_set", "validate",
+    "zero_divisor_graph",
+]
 __version__ = "0.1.0"

@@ -171,34 +171,6 @@ def validate(table: CayleyTable) -> ValidationReport:
 # --- algebraic predicates ------------------------------------------------
 
 
-def idempotents(table: CayleyTable) -> set[str]:
-    """All x with x*x = x. Nonempty for every finite semigroup (0 qualifies)."""
-    return {name for i, name in enumerate(table.names) if table.rows[i][i] == i}
-
-
-def idempotent_power(table: CayleyTable, x: str) -> str:
-    """The first idempotent among x, x^2, x^3, ...
-
-    The powers of x run into a cycle. The cycle is a group, so it holds
-    exactly one idempotent, and no power before the cycle is idempotent
-    (x^k = x^2k puts x^k on the cycle). Tail and cycle together take at most
-    ``table.order`` steps; a table with no idempotent power of x in that many
-    steps is not associative, and raises InputError.
-    """
-    i = p = table.index(x)
-    for _ in range(table.order):
-        if table.rows[p][p] == p:
-            return table.names[p]
-        p = table.rows[p][i]
-    raise InputError(f"no power of {x!r} is idempotent: the table is not associative")
-
-
-def annihilator(table: CayleyTable, x: str) -> set[str]:
-    """Ann(x) = {y : x*y = 0}; always contains 0."""
-    i = table.index(x)
-    return {name for j, name in enumerate(table.names) if table.rows[i][j] == 0}
-
-
 def closure_violation(
     table: CayleyTable, subset: Iterable[str]
 ) -> tuple[str, str, str] | None:

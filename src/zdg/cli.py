@@ -152,7 +152,6 @@ def _cmd_analyze(args) -> int:
     print(
         "necessary-conditions:",
         f"connected={'pass' if nc.connected else 'fail'}",
-        f"diameter={'pass' if nc.diameter_le_3 else 'fail'}",
         f"core={'pass' if nc.core_ok else 'fail'}",
         f"cover={'pass' if nc.cover_ok else 'fail'}",
     )

@@ -137,8 +137,6 @@ def add_end(g: LabeledGraph, p: str, name: str | None = None) -> LabeledGraph:
     """New graph with a fresh end vertex attached to p; g is unchanged."""
     g.check_vertex(p)
     w = name or fresh_vertex_name(g)
-    if g.has_vertex(w):
-        raise InputError(f"vertex {w!r} already exists")
     return LabeledGraph(list(g.vertices) + [w], list(g.edges()) + [(p, w)])
 
 
@@ -149,8 +147,6 @@ def add_cap(g: LabeledGraph, p: str, q: str, name: str | None = None) -> Labeled
     if p == q:
         raise InputError("a cap needs two distinct vertices")
     w = name or fresh_vertex_name(g)
-    if g.has_vertex(w):
-        raise InputError(f"vertex {w!r} already exists")
     return LabeledGraph(list(g.vertices) + [w], list(g.edges()) + [(p, w), (q, w)])
 
 
@@ -158,8 +154,6 @@ def add_edge(g: LabeledGraph, p: str, q: str) -> LabeledGraph:
     """New graph with the edge p-q added."""
     if g.has_edge(p, q):
         raise InputError(f"edge ({p},{q}) already present")
-    if p == q:
-        raise InputError("loops are not allowed")
     return LabeledGraph(g.vertices, list(g.edges()) + [(p, q)])
 
 

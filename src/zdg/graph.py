@@ -2,7 +2,7 @@
 
 Everything here is a pure function over immutable :class:`LabeledGraph`
 values: distances, the cycle core, cap sets C(a,b), end-vertex sets T_a,
-the split {a,b} | C(a,b) | B | L induced by a witness, the four
+the split {a,b} | C(a,b) | B | L induced by a witness, the three
 realizability pre-checks, family recognizers, a small exact isomorphism
 and automorphism routine, and the relabeling of a table along a vertex
 mapping.
@@ -62,9 +62,6 @@ class LabeledGraph:
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-    def has_vertex(self, x: str) -> bool:
-        return x in self._index
 
     def check_vertex(self, x: str) -> int:
         """The position of ``x`` in ``vertices``; InputError if unknown."""
@@ -413,14 +410,13 @@ def partition(g: LabeledGraph, w: DeltaWitness) -> StructurePartition:
 
 @dataclass(frozen=True)
 class NecessaryConditionsReport:
-    """The four pre-checks every realizable graph must pass.
+    """The three pre-checks every realizable graph must pass.
 
-    Passing all four does not imply realizability; failing any one certifies
+    Passing all three does not imply realizability; failing any one certifies
     non-realizability.
     """
 
     connected: bool
-    diameter_le_3: bool
     core_ok: bool
     cover_ok: bool
     detail: str = ""
@@ -430,8 +426,6 @@ class NecessaryConditionsReport:
         out = []
         if not self.connected:
             out.append("connected")
-        if not self.diameter_le_3:
-            out.append("diameter")
         if not self.core_ok:
             out.append("core")
         if not self.cover_ok:
@@ -444,19 +438,19 @@ class NecessaryConditionsReport:
 
 
 def necessary_conditions(g: LabeledGraph) -> NecessaryConditionsReport:
-    """Run the four pre-checks; ``detail`` names a failed cover, else core, check.
+    """Run the three pre-checks; ``detail`` names a failed cover, else core, check.
 
     The cover check asks, for each non-adjacent pair x, y, for a vertex z
     with N(x) | N(y) <= N[z]: the product x*y is nonzero and every neighbor
     of x or y annihilates it. It is the search's empty pair-domain cut.
 
-    On a connected graph a diameter failure implies a cover failure. Take
-    d(x,y) = 4 along x-a-m-b-y. A vertex z with N(x) | N(b) <= N[z] must be
-    y or a neighbor of y, and must also be a or a neighbor of a. Either way
-    d(x,y) <= 3, a contradiction.
+    A realizable graph has diameter at most 3, but that needs no check of
+    its own: on a connected graph the cover check already fails wherever
+    the diameter exceeds 3. Such a graph has a shortest path x-a-m-b-y. A
+    vertex z with N(x) | N(b) <= N[z] must be y or a neighbor of y, and must
+    also be a or a neighbor of a. Either way d(x,y) <= 3, a contradiction.
     """
     connected = is_connected(g)
-    diam_ok = connected and diameter(g) <= 3
     detail = ""
     if connected:
         dec = core(g)
@@ -475,7 +469,7 @@ def necessary_conditions(g: LabeledGraph) -> NecessaryConditionsReport:
             cover_ok = False
             detail = f"no vertex dominates N({g.vertices[i]}) | N({g.vertices[j]})"
             break
-    return NecessaryConditionsReport(connected, diam_ok, core_ok, cover_ok, detail)
+    return NecessaryConditionsReport(connected, core_ok, cover_ok, detail)
 
 
 # --- family recognizers ------------------------------------------------------

@@ -2,10 +2,7 @@ import pytest
 
 from zdg.algebra import (
     CayleyTable,
-    annihilator,
     emit_table_csv,
-    idempotent_power,
-    idempotents,
     closure_violation,
     ideal_violation,
     parse_table_csv,
@@ -60,50 +57,6 @@ def test_validate_is_deterministic(table5):
     assert validate(table5) == validate(table5)
 
 
-def test_idempotents(table3, table6):
-    assert "u1" in idempotents(table3)
-    assert "0" in idempotents(table3)
-    assert idempotents(TRIVIAL) == {"0"}
-    assert "a" in idempotents(table6)
-
-
-def test_idempotent_power_constructive(table3):
-    # y1, y1^2=d, y1^3=d: first repeat at exponents (2,3), so the result is d
-    assert idempotent_power(table3, "y1") == "d"
-    assert table3.mul("d", "d") == "d"
-    # an idempotent is its own idempotent power
-    assert idempotent_power(table3, "u1") == "u1"
-    assert idempotent_power(TRIVIAL, "0") == "0"
-
-
-def test_idempotent_power_lands_on_idempotent(small_table_corpus):
-    # the result is a power of x, and the only idempotent among its powers
-    for table in small_table_corpus:
-        for x in table.names:
-            powers = {x}
-            p = table.mul(x, x)
-            while p not in powers:
-                powers.add(p)
-                p = table.mul(p, x)
-            e = idempotent_power(table, x)
-            assert e in powers
-            assert {q for q in powers if table.mul(q, q) == q} == {e}
-    # a*a = b, a*b = a, b*b = a: no power of a is idempotent, and the
-    # table is not associative
-    broken = CayleyTable(["0", "a", "b"], [[0, 0, 0], [0, 2, 1], [0, 1, 1]])
-    assert not validate(broken).ok
-    with pytest.raises(InputError):
-        idempotent_power(broken, "a")
-
-
-def test_annihilator(table3, table6):
-    assert annihilator(table3, "y1") == {"0", "a", "b"}
-    assert annihilator(table3, "0") == set(table3.names)
-    assert annihilator(table6, "x1") == {"0", "a", "b", "x1", "x2", "y1"}
-    with pytest.raises(InputError):
-        annihilator(table3, "nope")
-
-
 def test_subsemigroup_examples(table3):
     everything = set(table3.names)
     assert closure_violation(table3, everything - {"y1", "y2", "u1"}) is None
@@ -117,6 +70,8 @@ def test_ideal_examples(table3):
     assert ideal_violation(table3, {"0"}) is None
     assert ideal_violation(table3, {"0", "d"}) is None
     assert ideal_violation(table3, {"0", "u1"}) is not None
+    with pytest.raises(InputError):
+        ideal_violation(table3, {"0", "nope"})
 
 
 def test_ideal_implies_subsemigroup(small_table_corpus):

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import inspect
 import os
 import shlex
@@ -169,7 +170,7 @@ def test_analyze_output(tmp_path, capsys):
     assert code == 0
     assert "diameter: 3" in out
     assert "witness: (a,b,y1,v1)" in out
-    assert "necessary-conditions: connected=pass diameter=pass core=pass cover=pass" in out
+    assert "necessary-conditions: connected=pass core=pass cover=pass" in out
 
 
 def test_analyze_empty_file_is_input_error(tmp_path, capsys):
@@ -320,6 +321,11 @@ def test_readme_library_block_runs():
     # that zdg no longer exports
     section = README.read_text(encoding="utf-8").split("## Library", 1)[1]
     block = section.split("```python", 1)[1].split("```", 1)[0]
+    imported = [
+        alias.name for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "zdg" for alias in node.names
+    ]
+    assert imported and set(imported) <= set(zdg.__all__)
     scope = {}
     exec(block, scope)
     assert scope["out"].tag is Outcome.REALIZED and scope["out"].witness is not None
@@ -335,15 +341,20 @@ def test_public_names_pinned():
         "AssociativityFailure", "CayleyTable", "CoreDecomposition", "DeltaWitness",
         "EnumerationResult", "FamilySpec", "InputError", "LabeledGraph", "Outcome",
         "RealizationOutcome", "StructurePartition", "TheoremReport", "ValidationReport",
-        "add_cap", "add_edge", "add_end", "algebra", "annihilator", "c_set",
-        "classify_special", "closure_violation", "core", "delta_witnesses", "diameter",
-        "distances_from", "emit_dot", "emit_graph_text", "emit_table_csv",
-        "enumerate_tables", "errors", "families", "generate_graph", "generate_table",
-        "graph", "ideal_violation", "idempotent_power", "idempotents", "init_domains",
-        "is_isomorphic", "isomorphisms", "necessary_conditions", "parse_graph_text",
-        "parse_table_csv", "partition", "propagate", "realize", "run_all",
-        "same_products", "search", "t_set", "theorems", "validate", "zero_divisor_graph",
+        "add_cap", "add_edge", "add_end", "c_set", "classify_special", "closure_violation",
+        "core", "delta_witnesses", "diameter", "distances_from", "emit_dot",
+        "emit_graph_text", "emit_table_csv", "enumerate_tables", "generate_graph",
+        "generate_table", "ideal_violation", "init_domains", "is_isomorphic", "isomorphisms",
+        "necessary_conditions", "parse_graph_text", "parse_table_csv", "partition",
+        "propagate", "realize", "run_all", "same_products", "t_set", "validate",
+        "zero_divisor_graph",
     ]
+    # a star import binds those names only, no submodule
+    scope = {}
+    exec("from zdg import *", scope)
+    del scope["__builtins__"]
+    assert set(scope) == set(zdg.__all__)
+    assert not any(inspect.ismodule(value) for value in scope.values())
 
 
 def test_readme_command_lines_parse():

@@ -89,6 +89,10 @@ def test_add_end_add_cap_add_edge():
         add_edge(g, "a", "b")  # already present
     with pytest.raises(InputError):
         add_end(g, "b", name="a")  # collides
+    with pytest.raises(InputError):
+        add_edge(g, "a", "a")  # a loop
+    with pytest.raises(InputError):
+        add_cap(g, "a", "b", name="a")  # collides
 
 
 def test_fresh_names_avoid_collisions():
