@@ -131,21 +131,15 @@ def zero_divisor_graph(table: CayleyTable) -> LabeledGraph:
     A self-annihilating element with no distinct partner shows up as an
     isolated vertex; see :func:`isolated_vertices`.
     """
-    names = table.names
-    n = table.order
-    verts = [
-        names[i]
-        for i in range(1, n)
-        if any(table.rows[i][j] == 0 for j in range(1, n))
-    ]
-    vset = set(verts)
+    names, rows = table.names, table.rows
+    verts = [i for i in range(1, table.order) if 0 in rows[i][1:]]
     edges = [
         (names[i], names[j])
-        for i in range(1, n)
-        for j in range(i + 1, n)
-        if table.rows[i][j] == 0 and names[i] in vset and names[j] in vset
+        for k, i in enumerate(verts)
+        for j in verts[k + 1 :]
+        if rows[i][j] == 0
     ]
-    return LabeledGraph(verts, edges)
+    return LabeledGraph([names[i] for i in verts], edges)
 
 
 def isolated_vertices(g: LabeledGraph) -> set[str]:
@@ -156,7 +150,9 @@ def isolated_vertices(g: LabeledGraph) -> set[str]:
 # --- distances -------------------------------------------------------------
 #
 # Every traversal runs on neighbourhood bitmasks laid out like ``g.masks``:
-# bit j of adj[i] is set iff the i-th and j-th vertices are adjacent.
+# bit j of adj[i] is set iff the i-th and j-th vertices are adjacent. So do
+# the core and the pre-screen. The hot loops walk the set bits of a mask in
+# place (``bit = m & -m``, then ``m ^= bit``) rather than build a list.
 
 
 def _layers(adj: Sequence[int], source: int) -> list[int]:
@@ -169,8 +165,11 @@ def _layers(adj: Sequence[int], source: int) -> list[int]:
     while frontier:
         layers.append(frontier)
         reach = 0
-        for v in _bits(frontier):
-            reach |= adj[v]
+        m = frontier
+        while m:
+            bit = m & -m
+            reach |= adj[bit.bit_length() - 1]
+            m ^= bit
         frontier = reach & ~seen
         seen |= frontier
     return layers
@@ -185,8 +184,10 @@ def _covering(adj: Sequence[int], need: int) -> int:
     so it is the intersection of the closed neighbourhoods N[u], u in need.
     """
     mask = (1 << len(adj)) - 1
-    for u in _bits(need):
-        mask &= adj[u] | 1 << u
+    while need:
+        bit = need & -need
+        mask &= adj[bit.bit_length() - 1] | bit
+        need ^= bit
     return mask
 
 
@@ -228,10 +229,55 @@ class CoreDecomposition:
 
 
 def _on_triangle_or_square(adj: Sequence[int], x: int, y: int) -> bool:
-    """Whether the edge x-y lies on a 3-cycle or on a 4-cycle x-y-z-w-x."""
-    return bool(adj[x] & adj[y]) or any(
-        adj[w] & adj[y] & ~(1 << x) for w in _bits(adj[x] & ~(1 << y))
+    """Whether the edge x-y lies on a 3-cycle or on a 4-cycle x-y-z-w-x.
+
+    That is, some w in N(x) - {y} lies in N(y) - {x} or has a neighbour there.
+    """
+    far = adj[y] & ~(1 << x)
+    m = adj[x] & ~(1 << y)
+    while m:
+        bit = m & -m
+        if (adj[bit.bit_length() - 1] | bit) & far:
+            return True
+        m ^= bit
+    return False
+
+
+def _core_of(adj: Sequence[int]) -> tuple[list[tuple[int, int]], bool, bool]:
+    """The core of a connected graph on bitmasks: ``core()``'s edges and flags.
+
+    Returns the core edges as index pairs i < j, whether each of them lies
+    on a 3- or 4-cycle, and whether every vertex off the core is an end
+    vertex whose one neighbour is on it (vacuous when there is no core).
+    An edge on no short cycle is a core edge iff its ends stay connected
+    without it; an edge at an end vertex never does.
+    """
+    pairs = []
+    on_cycles = True
+    core_mask = 0
+    for i, nb in enumerate(adj):
+        m = nb >> i + 1 << i + 1
+        while m:
+            bit = m & -m
+            m ^= bit
+            j = bit.bit_length() - 1
+            if nb == bit or adj[j] == 1 << i:
+                continue
+            if not _on_triangle_or_square(adj, i, j):
+                cut = list(adj)
+                cut[i] ^= bit
+                cut[j] ^= 1 << i
+                if not sum(_layers(cut, i)) & bit:
+                    continue
+                on_cycles = False
+            pairs.append((i, j))
+            core_mask |= 1 << i | bit
+    pendants_ok = not pairs or all(
+        adj[v].bit_count() == 1 and adj[v] & core_mask
+        for v in range(len(adj))
+        if not core_mask >> v & 1
     )
+    return pairs, on_cycles, pendants_ok
 
 
 def core(g: LabeledGraph) -> CoreDecomposition:
@@ -239,34 +285,16 @@ def core(g: LabeledGraph) -> CoreDecomposition:
 
     Also reports whether every core edge lies on a 3- or 4-cycle and whether
     every pendant vertex is an end vertex hanging off the core - the shape
-    every zero-divisor graph with a cycle must have. An edge on no short
-    cycle is a core edge iff its ends stay connected without it.
+    every zero-divisor graph with a cycle must have.
     """
     if not is_connected(g):
         raise InputError("core() requires a connected graph")
-    adj = g.masks
-    core_edges = set()
-    on_cycles = True
-    for x, y in g.edges():
-        i, j = g.check_vertex(x), g.check_vertex(y)
-        if _on_triangle_or_square(adj, i, j):
-            core_edges.add((x, y))
-            continue
-        cut = list(adj)
-        cut[i] &= ~(1 << j)
-        cut[j] &= ~(1 << i)
-        if sum(_layers(cut, i)) >> j & 1:
-            core_edges.add((x, y))
-            on_cycles = False
+    pairs, on_cycles, pendants_ok = _core_of(g.masks)
+    names = g.vertices
+    core_edges = frozenset(tuple(sorted((names[i], names[j]))) for i, j in pairs)
     core_vertices = frozenset(v for e in core_edges for v in e)
-    pendants = frozenset(v for v in g.vertices if v not in core_vertices)
-    pendants_ok = not core_edges or all(  # no cycle: nothing to hang off
-        g.degree(v) == 1 and next(iter(g.neighbors(v))) in core_vertices
-        for v in pendants
-    )
-    return CoreDecomposition(
-        frozenset(core_edges), core_vertices, pendants, on_cycles, pendants_ok
-    )
+    pendants = frozenset(v for v in names if v not in core_vertices)
+    return CoreDecomposition(core_edges, core_vertices, pendants, on_cycles, pendants_ok)
 
 
 # --- caps, end sets, the condition-(triangle) witness ----------------------
@@ -453,8 +481,8 @@ def necessary_conditions(g: LabeledGraph) -> NecessaryConditionsReport:
     connected = is_connected(g)
     detail = ""
     if connected:
-        dec = core(g)
-        core_ok = dec.edges_on_triangle_or_square and dec.pendants_are_ends_on_core
+        _, on_cycles, pendants_ok = _core_of(g.masks)
+        core_ok = on_cycles and pendants_ok
         if not core_ok:
             detail = "core is not a union of triangles and squares with end vertices attached"
     else:
@@ -621,11 +649,7 @@ def relabel_table(table: CayleyTable, mapping: dict[str, str]) -> CayleyTable:
 
 
 def parse_graph_text(text: str) -> LabeledGraph:
-    lines = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    lines = [s for line in text.splitlines() if (s := line.strip()) and s[0] != "#"]
     if not lines:
         raise InputError("empty graph file")
     vertices = lines[0].split()

@@ -55,7 +55,6 @@ from .graph import (
     _bits,
     _covering,
     _layers,
-    is_connected,
     necessary_conditions,
     zero_divisor_graph,
 )
@@ -489,13 +488,13 @@ def _gate(g: LabeledGraph, budget: int = BUDGET, limit: int | None = None) -> st
     """
     if g.n < 2:
         raise InputError("realization needs a graph with at least 2 vertices")
-    if not is_connected(g):
+    nc = necessary_conditions(g)
+    if not nc.connected:
         raise InputError("realization needs a connected graph")
     if budget <= 0:
         raise InputError("budget must be positive")
     if limit is not None and limit < 1:
         raise InputError("max_solutions must be >= 1")
-    nc = necessary_conditions(g)
     return None if nc.passed else nc.failed[0]
 
 

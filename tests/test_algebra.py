@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from zdg.algebra import (
@@ -10,6 +12,7 @@ from zdg.algebra import (
     validate,
 )
 from zdg.errors import InputError
+from zdg.graph import LabeledGraph
 
 TRIVIAL = CayleyTable(["0"], [[0]])
 
@@ -107,6 +110,21 @@ def test_construction_errors():
         CayleyTable(["0", "a"], [[0, 0]])  # not square
     with pytest.raises(InputError):
         CayleyTable(["0", "a"], [[0, 0], [0, 7]])  # out of range
+
+
+def test_names_hold_no_whitespace_character():
+    # every character str.isspace() accepts, including the separators that
+    # are no ASCII whitespace, on its own or inside a name
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert {"\x1c", "\x85", "\xa0", "\u3000"} <= set(spaces)
+    for bad in ["", *spaces, *(f"a{ch}b" for ch in spaces)]:
+        with pytest.raises(InputError):
+            CayleyTable(["0", bad], [[0, 0], [0, 0]])
+        with pytest.raises(InputError):
+            LabeledGraph([bad])
+    for good in ("a-b", "é"):
+        assert CayleyTable(["0", good], [[0, 0], [0, 0]]).names[1] == good
+        assert LabeledGraph([good]).vertices == (good,)
 
 
 def test_csv_round_trip(table5):

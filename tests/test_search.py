@@ -85,6 +85,32 @@ def test_init_domains_gates_like_realize(small_connected_graphs, census_graphs):
         enumerate_tables(K2, max_solutions=0)
 
 
+def test_gate_checks_connectivity_before_the_settings():
+    two_parts = LabeledGraph(list("abcd"), [("a", "b"), ("c", "d")])
+    with pytest.raises(InputError, match="realization needs a connected graph"):
+        realize(two_parts, budget=0)
+    with pytest.raises(InputError, match="realization needs a connected graph"):
+        enumerate_tables(two_parts, budget=0, max_solutions=0)
+
+
+def test_gate_runs_the_prescreen_once(kn2_graph, monkeypatch):
+    # the pre-screen also answers the gate's connectivity check; the gate
+    # reads it by this module name, which bench/spans.py wraps
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return necessary_conditions(g)
+
+    monkeypatch.setattr(search, "necessary_conditions", counting)
+    c5 = LabeledGraph(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "e")])
+    for g in (K2, C4_WITH_END, kn2_graph, c5):
+        for verb in (realize, enumerate_tables, init_domains):
+            calls.clear()
+            verb(g)
+            assert calls == [g], (verb.__name__, g.edges())
+
+
 def test_each_entry_point_takes_only_the_settings_it_reads(kn2_graph):
     # keyword-only settings, and no setting a verb would ignore
     for call in (lambda: realize(K2, max_solutions=1), lambda: realize(K2, 5),
