@@ -209,11 +209,11 @@ def criterion_3(corpus: Corpus) -> tuple[bool, str]:
         if out.tag != Outcome.UNREALIZABLE:
             problems.append(f"{label}: got {out.tag.value}")
         elif not (out.reason or "").startswith("exhausted"):
-            # must be a search-tree certificate, not a pre-screen verdict
-            problems.append(f"{label}: not by exhaustion ({out.reason})")
+            # must be the search's certificate, not a pre-screen verdict
+            problems.append(f"{label}: not by the search ({out.reason})")
     if problems:
         return False, "; ".join(problems)
-    return True, f"both modifications certified unrealizable by full exhaustion ({nodes} nodes)"
+    return True, f"both modifications certified unrealizable by the search ({nodes} nodes)"
 
 
 def criterion_4(corpus: Corpus) -> tuple[bool, str]:

@@ -181,7 +181,7 @@ def _cmd_analyze(args) -> int:
 def _print_stats(stats: SearchStats) -> None:
     print(
         f"stats: nodes={stats.nodes} forced={stats.forced} "
-        f"max-depth={stats.max_depth} seconds={stats.seconds:.3f}"
+        f"max-depth={stats.max_depth} probes={stats.probes} seconds={stats.seconds:.3f}"
     )
 
 

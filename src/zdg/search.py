@@ -21,6 +21,16 @@ replayable deterministically under the recorded budget. Every public
 way to a search state passes one gate, ``_gate``, which checks the input and
 runs the pre-screen; no state is built for a graph it refutes.
 
+A search that stalls probes its root once: after ``PROBE_AFTER`` nodes per
+cell left open by initial propagation, with no solution recorded, a fresh
+copy of the root state tries each candidate of each open cell (assign,
+drain, undo), prunes each one whose drain fails, and repeats to a fixpoint
+(failed-literal probing). It stops after as many probe assignments as the
+search has spent nodes. The probe counts only when it refutes the root:
+the search then ends as an exhausted tree would, with its counters at the
+trigger, so the refutation replays under the recorded budget. Otherwise it
+is thrown away, and no witness, table or counter moves.
+
 The drain and the initial sweep visit triples in a fixed order and call
 ``_process_triple`` on each one unless that call provably changes nothing:
 its three outer products read the same (none evaluable, or all equal), or
@@ -63,6 +73,9 @@ UNKNOWN = -1
 
 
 BUDGET = 10_000_000  # decision nodes
+# the root probe runs once a search has spent this many nodes per cell left
+# open by initial propagation
+PROBE_AFTER = 8
 
 
 class Outcome(Enum):
@@ -77,6 +90,7 @@ class SearchStats:
     forced: int
     max_depth: int
     seconds: float
+    probes: int = 0  # probe assignments tried, refuting or not
 
 
 @dataclass(frozen=True)
@@ -146,6 +160,7 @@ class SearchState:
         self.nodes = 0
         self.forced = 0
         self.max_depth = 0
+        self.probes = 0
         self.solutions: list[CayleyTable] = []
 
     # --- domain construction ------------------------------------------------
@@ -428,6 +443,43 @@ class SearchState:
                 return min(bucket)
         return None
 
+    def _probe(self, cap: int) -> bool:
+        """Failed-literal probing of the open cells; False once it refutes the state.
+
+        Each candidate of each open cell, in cid order, is assigned, drained
+        and undone; a candidate whose drain fails is pruned, and the prune is
+        drained. Rounds repeat until one prunes nothing. After ``cap`` probe
+        assignments it stops and returns True, as it does at the fixpoint.
+        """
+        pruned = True
+        while pruned:
+            pruned = False
+            for cid in sorted(set().union(*self.buckets)):
+                for v in _bits(self.domains[cid]):
+                    # a prune or its drain may have settled the cell or dropped v
+                    if self.M[cid] != UNKNOWN or not (self.domains[cid] >> v) & 1:
+                        continue
+                    if self.probes == cap:
+                        return True
+                    self.probes += 1
+                    mark = len(self.trail)
+                    ok = self._assign(cid, v, ("probe",)) and self._drain()
+                    self._undo_to(mark)
+                    if ok:
+                        continue
+                    pruned = True
+                    if not (self._prune(cid, ~(1 << v), ("probe",)) and self._drain()):
+                        return False
+        return True
+
+    def _root_refuted(self) -> bool:
+        """Whether probing a fresh copy of the root, capped at the nodes spent, refutes it."""
+        probe = SearchState(self.g)
+        probe.initialize()
+        refuted = not probe._probe(self.nodes)
+        self.probes = probe.probes
+        return refuted
+
     def _record_solution(self) -> None:
         n = self.n
         rows = [tuple(self.M[i * n : (i + 1) * n]) for i in range(n)]
@@ -446,9 +498,17 @@ class SearchState:
         ``limit`` solutions are recorded, or "budget" once more than
         ``budget`` nodes are spent; the early returns leave the trail as it
         stands.
+
+        Once ``PROBE_AFTER`` nodes per open root cell are spent with no
+        solution recorded, ``_root_refuted`` probes the root once. If that
+        refutes, the trail is undone to the root and the search returns
+        "done", as an exhausted tree leaves it; otherwise it goes on as if
+        the probe had never run.
         """
         frames: list[tuple[int, Iterator[int], int, int]] = []
         depth = 0
+        root = len(self.trail)
+        probe_at = PROBE_AFTER * sum(map(len, self.buckets))
         while True:
             cid = self._select()
             if cid is None:
@@ -469,6 +529,9 @@ class SearchState:
                 self.nodes += 1
                 if self.nodes > budget:
                     return "budget"
+                if self.nodes == probe_at and not self.solutions and self._root_refuted():
+                    self._undo_to(root)
+                    return "done"
                 if self._assign(cid, v, ("decision", depth)) and self._drain():
                     depth += 1
                     break
@@ -538,7 +601,8 @@ def _run(
     state = SearchState(g)
     status = state._search(limit, budget) if state.initialize() else "done"
     seconds = time.perf_counter() - t0
-    return state, status, SearchStats(state.nodes, state.forced, state.max_depth, seconds)
+    stats = SearchStats(state.nodes, state.forced, state.max_depth, seconds, state.probes)
+    return state, status, stats
 
 
 def realize(

@@ -10,6 +10,8 @@ from pathlib import Path
 import zdg
 from zdg.algebra import parse_table_csv, same_products
 from zdg.cli import _add_search_flags, _make_parser, main
+from zdg.families import FamilySpec, add_edge, generate_graph
+from zdg.graph import emit_graph_text
 from zdg.search import BUDGET, Outcome, enumerate_tables, realize
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,6 +79,18 @@ def test_realize_unrealizable_exit_code(tmp_path, capsys):
     code, out, _ = run(capsys, "realize", str(graph_path))
     assert code == 1
     assert "outcome: unrealizable" in out
+
+
+def test_realize_stats_line_counts_probes(tmp_path, capsys):
+    # fig5(1,1,0)+edge(x1,x2): the root probe refutes it after 88 nodes, and
+    # the stats line reports the probe assignments beside the main counters
+    graph_path = tmp_path / "refuted.graph"
+    g = add_edge(generate_graph(FamilySpec("fig5", m=1, n=1, v=0)), "x1", "x2")
+    graph_path.write_text(emit_graph_text(g))
+    code, out, _ = run(capsys, "realize", str(graph_path))
+    assert code == 1
+    assert "stats: nodes=88 forced=101 max-depth=7 probes=48 seconds=" in out
+    assert "reason: exhausted\n" in out
 
 
 def test_realize_writes_witness(tmp_path, capsys):

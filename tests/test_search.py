@@ -263,21 +263,40 @@ def test_realize_answers_pinned(census_graphs):
     )
 
 
+REFUTATIONS = ((1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1))
+
+
+def _counters(stats):
+    return stats.nodes, stats.forced, stats.max_depth
+
+
+def refutation(m, n):
+    return add_edge(fig("fig5", m=m, n=n, v=0), "x1", "x2")
+
+
 def test_search_counters_pinned():
-    # README's "Determinism": (nodes, forced, max_depth) of the six exhaustive
-    # refutations fig5(m,n,0)+edge(x1,x2) and of three fig3(k,k,k,k) graphs
+    # README's "Determinism": (nodes, forced, max_depth) of the six refutations
+    # fig5(m,n,0)+edge(x1,x2) and of three fig3(k,k,k,k) graphs. The root
+    # probe refutes each of the six at PROBE_AFTER nodes per open root cell,
+    # and the answer replays under the recorded budget and trips one below it.
     refutations = {
-        (1, 1): (385, 421, 9),
-        (1, 2): (2574, 2743, 14),
-        (2, 1): (2532, 3452, 13),
-        (1, 3): (30567, 34876, 19),
-        (2, 2): (17208, 23128, 18),
-        (3, 1): (30130, 48897, 18),
+        (1, 1): (88, 101, 7),
+        (1, 2): (128, 135, 12),
+        (2, 1): (128, 175, 11),
+        (1, 3): (176, 189, 15),
+        (2, 2): (176, 197, 14),
+        (3, 1): (176, 203, 14),
     }
+    assert tuple(refutations) == REFUTATIONS
     for (m, n), counters in refutations.items():
-        out = realize(add_edge(fig("fig5", m=m, n=n, v=0), "x1", "x2"))
-        assert out.tag == Outcome.UNREALIZABLE
+        g = refutation(m, n)
+        out = realize(g)
+        assert out.tag == Outcome.UNREALIZABLE and out.reason == "exhausted"
         assert (out.stats.nodes, out.stats.forced, out.stats.max_depth) == counters, (m, n)
+        assert 0 < out.stats.probes <= out.stats.nodes
+        replay = realize(g, budget=out.stats.nodes)
+        assert (replay.reason, _counters(replay.stats)) == (out.reason, counters)
+        assert realize(g, budget=out.stats.nodes - 1).tag == Outcome.BUDGET_EXCEEDED
     ladder = {1: (97, 167, 11), 2: (7924, 14649, 32), 12: (1049, 4473, 860)}
     for k, counters in ladder.items():
         out = realize(fig("fig3", m=k, n=k, u=k, v=k))
@@ -308,7 +327,7 @@ def test_early_exits_pinned(bench_graphs):
                          f"{s.nodes} {s.forced} {s.max_depth} {len(res.tables)}")
             lines.extend(emit_table_csv(t) for t in res.tables)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "b941a8cf9e97581d8752a029d375922c23bd87634352577f4e1f7837bd1dd94b"
+        "05bf129ba24388299388ec9a43fdaa5508fe9910c8a02bed173be587d11aed65"
     )
 
 
@@ -325,6 +344,60 @@ def test_explain_chains_pinned(census_graphs):
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "6dc0b770475909bd6583cadd10d5e7a31e36899509c243a568a59ac3a4c8d115"
     )
+
+
+def test_probing_never_changes_answers(
+    small_connected_graphs, census_graphs, bench_graphs, monkeypatch
+):
+    # the root probe counts only when it refutes: against a search whose probe
+    # never refutes, every tag, reason, chain, witness and table set is the
+    # same, and so are the counters of every realized graph and enumeration;
+    # only the refutations that the probe closes spend fewer nodes
+    refutations = [refutation(m, n) for m, n in REFUTATIONS]
+    enumerated = [g for g in small_connected_graphs if g.n <= 4] + bench_graphs[5]
+    assert len(census_graphs) == 965 and len(enumerated) == 64
+
+    def answers():
+        realized = [realize(g, explain=True) for g in census_graphs + refutations]
+        return realized, [enumerate_tables(g) for g in enumerated]
+
+    shipped, shipped_tables = answers()
+    monkeypatch.setattr(SearchState, "_probe", lambda self, cap: True)
+    unprobed, unprobed_tables = answers()
+    for out, ref in zip(shipped, unprobed, strict=True):
+        assert (out.tag, out.reason, out.witness, out.chain) == (
+            ref.tag, ref.reason, ref.witness, ref.chain)
+        if out.tag == Outcome.REALIZED:
+            assert _counters(out.stats) == _counters(ref.stats)
+    for res, ref in zip(shipped_tables, unprobed_tables, strict=True):
+        assert res.exhaustive and ref.exhaustive
+        assert [t.rows for t in res.tables] == [t.rows for t in ref.tables]
+        assert _counters(res.stats) == _counters(ref.stats)
+    assert sum(out.stats.nodes for out in shipped[-6:]) == 872
+    assert sum(out.stats.nodes for out in unprobed[-6:]) == 83396
+
+
+def test_probe_keeps_every_enumerated_table(small_connected_graphs, bench_graphs):
+    # a probe prunes only values with no table below them: each enumerated
+    # table's value of each cell stays in that cell's probed domain. Probing
+    # alone refutes each of the six refutations, and stops at its cap.
+    pruned = 0
+    for g in [g for g in small_connected_graphs if g.n <= 4] + bench_graphs[5]:
+        st = init_domains(g)
+        if st is None or st.contradiction:
+            continue
+        cells = list(itertools.combinations_with_replacement(g.vertices, 2))
+        before = sum(len(st.domain_of(x, y)) for x, y in cells)
+        assert st._probe(BUDGET), g.edges()
+        pruned += before - sum(len(st.domain_of(x, y)) for x, y in cells)
+        for t in enumerate_tables(g).tables:
+            for x, y in cells:
+                assert t.mul(x, y) in st.domain_of(x, y), (g.edges(), x, y)
+    assert pruned > 0
+    for m, n in REFUTATIONS:
+        assert not init_domains(refutation(m, n))._probe(BUDGET), (m, n)
+    st = init_domains(refutation(1, 1))
+    assert st._probe(10) and st.probes == 10 and st.contradiction is None
 
 
 def _square_domain_keeping_zero(state, i):
