@@ -58,9 +58,15 @@ class ValidationReport:
 
 
 class CayleyTable:
-    """Immutable multiplication table over named elements, zero first."""
+    """Immutable multiplication table over named elements, zero first.
 
-    __slots__ = ("names", "rows", "_index")
+    ``_report`` holds the table's :class:`ValidationReport` once
+    :func:`validate` has run on it. The table cannot change after it is
+    built, so the report cannot go stale; ``with_cell`` and every other
+    derived table is a new object that starts without one.
+    """
+
+    __slots__ = ("names", "rows", "_index", "_report")
 
     def __init__(self, names: Sequence[str], rows: Sequence[Sequence[int]]):
         names = tuple(names)
@@ -89,6 +95,7 @@ class CayleyTable:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "rows", tuple(packed))
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
+        object.__setattr__(self, "_report", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CayleyTable is immutable")
@@ -143,9 +150,26 @@ def same_products(t1: CayleyTable, t2: CayleyTable) -> bool:
 
 # --- validation ----------------------------------------------------------
 
+_VALID = ValidationReport(True, True, True, None)  # every valid table's report
+
 
 def validate(table: CayleyTable) -> ValidationReport:
     """Exhaustively check commutativity, zero absorption and associativity.
+
+    The table is scanned on the first call only; the report is kept on the
+    table and returned by every later call. Valid tables share one report.
+    """
+    report = table._report
+    if report is None:
+        report = _scan(table)
+        if report.ok:
+            report = _VALID
+        object.__setattr__(table, "_report", report)
+    return report
+
+
+def _scan(table: CayleyTable) -> ValidationReport:
+    """The checks ``validate`` reports, run on the table's rows.
 
     The associativity scan compares, for each (i, j) in lexicographic order,
     the products (i*j)*k over all k with i*(j*k), read through row j's

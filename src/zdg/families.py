@@ -270,9 +270,8 @@ def _construction(
     return RULES[spec.family], _head, {}
 
 
-def _build_table(spec: FamilySpec) -> CayleyTable:
+def _build_table(spec: FamilySpec, names: tuple[str, ...]) -> CayleyTable:
     rules, kind, roles = _construction(spec)
-    names = generate_graph(spec).vertices
     kinds = [kind(z) for z in names]
     index = {name: i for i, name in enumerate((ZERO_NAME,) + names)}
     rows = [[0] * (len(names) + 1)]
@@ -301,13 +300,14 @@ def generate_table(spec: FamilySpec) -> CayleyTable:
     labels. For the parameter choices whose tables are known from the
     literature the output reproduces them cell for cell.
     """
-    table = _build_table(spec)
+    g = generate_graph(spec)
+    table = _build_table(spec, g.vertices)
     report = validate(table)
     if not report.ok:
         raise RuntimeError(
             f"generated table for {spec} failed validation: "
             f"{report.first_failure.describe(table) if report.first_failure else report}"
         )
-    if not zero_divisor_graph(table).same_graph(generate_graph(spec)):
+    if not zero_divisor_graph(table).same_graph(g):
         raise RuntimeError(f"generated table for {spec} does not match its graph")
     return table

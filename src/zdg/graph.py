@@ -181,7 +181,9 @@ def _covering(adj: Sequence[int], need: int) -> int:
     This is the neighbourhood cut shared by the cover pre-check and the
     search's initial domains: a nonzero product that every vertex of
     ``need`` annihilates is one of these vertices. Adjacency is symmetric,
-    so it is the intersection of the closed neighbourhoods N[u], u in need.
+    so it is the intersection of the closed neighbourhoods N[u], u in need,
+    and it distributes over a union: ``_covering(adj, a | b) ==
+    _covering(adj, a) & _covering(adj, b)``.
     """
     mask = (1 << len(adj)) - 1
     while need:
@@ -263,7 +265,8 @@ def _core_of(adj: Sequence[int]) -> tuple[list[tuple[int, int]], bool, bool]:
             j = bit.bit_length() - 1
             if nb == bit or adj[j] == 1 << i:
                 continue
-            if not _on_triangle_or_square(adj, i, j):
+            # a common neighbour closes a triangle, without walking N(i)
+            if not nb & adj[j] and not _on_triangle_or_square(adj, i, j):
                 cut = list(adj)
                 cut[i] ^= bit
                 cut[j] ^= 1 << i
@@ -337,18 +340,24 @@ def _witness_edges(g: LabeledGraph) -> Iterator[tuple[str, str, list[str], list[
     Both orientations are tried, as a and b play different roles in a witness.
     ``caps`` is C(a,b) and ``far`` the vertices at distance 3 from its caps,
     both sorted. Each cap s has N(s) = {a, b}, so its distance-3 layer is
-    N(X) - X - {a, b} with X = N(a) | N(b) - {a, b}, whichever cap s is.
+    N(X) - X - {a, b} with X = N(a) | N(b) - {a, b}, whichever cap s is and
+    whichever way the edge is oriented: one breadth-first search per edge
+    serves both orientations, which share the ``caps`` and ``far`` lists.
     """
     names, masks = g.vertices, g.masks
     caps_of: dict[int, list[str]] = {}
     for v, m in sorted(zip(names, masks)):
         caps_of.setdefault(m, []).append(v)
+    far_of: dict[int, list[str]] = {}
     for a in sorted(names):
         for b in sorted(g.neighbors(a)):
-            caps = caps_of.get(1 << g.check_vertex(a) | 1 << g.check_vertex(b))
-            far = _layers(masks, g.check_vertex(caps[0]))[3:4] if caps else ()
-            if far:
-                yield a, b, caps, sorted(names[z] for z in _bits(far[0]))
+            edge = 1 << g.check_vertex(a) | 1 << g.check_vertex(b)
+            caps = caps_of.get(edge)
+            if caps and edge not in far_of:
+                layer3 = sum(_layers(masks, g.check_vertex(caps[0]))[3:4])  # 0 if none
+                far_of[edge] = sorted(names[z] for z in _bits(layer3))
+            if caps and far_of[edge]:
+                yield a, b, caps, far_of[edge]
 
 
 def delta_witnesses(g: LabeledGraph) -> list[DeltaWitness]:
@@ -470,7 +479,12 @@ def necessary_conditions(g: LabeledGraph) -> NecessaryConditionsReport:
 
     The cover check asks, for each non-adjacent pair x, y, for a vertex z
     with N(x) | N(y) <= N[z]: the product x*y is nonzero and every neighbor
-    of x or y annihilates it. It is the search's empty pair-domain cut.
+    of x or y annihilates it. It is the search's empty pair-domain cut. As
+    ``_covering`` distributes over a union, the pair's candidates are the
+    AND of the covers of x and y. The pairs are scanned in name order, so
+    ``detail`` names the first failing pair, and a vertex's cover is
+    computed the first time a pair needs it: a graph that fails early (the
+    typical reject) pays for few covers rather than all n.
 
     A realizable graph has diameter at most 3, but that needs no check of
     its own: on a connected graph the cover check already fails wherever
@@ -490,10 +504,13 @@ def necessary_conditions(g: LabeledGraph) -> NecessaryConditionsReport:
         detail = "graph is disconnected"
     cover_ok = True
     adj = g.masks
+    covers = [0] * g.n  # 0 until computed: a vertex's cover holds the vertex
     for i, j in combinations(sorted(range(g.n), key=g.vertices.__getitem__), 2):
         if adj[i] >> j & 1:
             continue
-        if not _covering(adj, adj[i] | adj[j]):
+        ci = covers[i] = covers[i] or _covering(adj, adj[i])
+        cj = covers[j] = covers[j] or _covering(adj, adj[j])
+        if not ci & cj:
             cover_ok = False
             detail = f"no vertex dominates N({g.vertices[i]}) | N({g.vertices[j]})"
             break

@@ -121,6 +121,9 @@ class SearchState:
         # element i is vertex i - 1 of g: the zero element takes bit 0
         self.adj = adj = [0] + [nb << 1 for nb in g.masks]
         self.has_d3 = [False] + [len(_layers(g.masks, v)) > 3 for v in range(g.n)]
+        # covers[i]: the elements z with N(i) <= N[z], shifted as adj; a pair's
+        # cut is the AND of its two covers (see _gate)
+        self.covers = [0] + [_covering(g.masks, nb) << 1 for nb in g.masks]
         M = [UNKNOWN] * (n * n)
         for j in range(n):
             M[j] = 0
@@ -166,11 +169,10 @@ class SearchState:
     # --- domain construction ------------------------------------------------
 
     def _pair_domain(self, i: int, j: int) -> int:
-        return _covering(self.g.masks, (self.adj[i] | self.adj[j]) >> 1) << 1
+        return self.covers[i] & self.covers[j]
 
     def _square_domain(self, i: int) -> int:
-        mask = _covering(self.g.masks, self.adj[i] >> 1) << 1
-        return mask if self.has_d3[i] else mask | 1
+        return self.covers[i] if self.has_d3[i] else self.covers[i] | 1
 
     # --- introspection --------------------------------------------------------
 
@@ -545,9 +547,12 @@ class SearchState:
 def _gate(g: LabeledGraph, budget: int = BUDGET, limit: int | None = None) -> str | None:
     """Check the input and pre-screen it: the failed condition's name, or None.
 
-    Behind this gate no initial domain is empty: the cover pre-check is exactly
-    the pair-domain cut, ``_covering`` of N(x) | N(y) for each non-adjacent
-    pair, and a square's domain holds x, as every neighbor u of x has x in N[u].
+    Behind this gate no initial domain is empty. Both the cover pre-check and
+    the pair domains read a non-adjacent pair's cut as the AND of the two
+    vertices' covers, ``_covering(adj, N(x)) & _covering(adj, N(y))``, which
+    equals ``_covering`` of N(x) | N(y) because the cut distributes over a
+    union; so the pre-check passes exactly when no pair domain is empty. A
+    square's domain holds x, as every neighbor u of x has x in N[u].
     """
     if g.n < 2:
         raise InputError("realization needs a graph with at least 2 vertices")

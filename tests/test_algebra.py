@@ -2,6 +2,7 @@ import sys
 
 import pytest
 
+from zdg import algebra
 from zdg.algebra import (
     CayleyTable,
     emit_table_csv,
@@ -58,6 +59,38 @@ def test_validate_first_failure_is_the_least_failing_triple(table6):
 
 def test_validate_is_deterministic(table5):
     assert validate(table5) == validate(table5)
+
+
+def test_validate_scans_a_table_once(monkeypatch, small_table_corpus, table6):
+    scans = []
+    scan = algebra._scan
+
+    def counting(table):
+        scans.append(table)
+        return scan(table)
+
+    monkeypatch.setattr(algebra, "_scan", counting)
+    # fresh objects: the session's tables may carry a report already
+    valid = [CayleyTable(t.names, t.rows) for t in small_table_corpus]
+    invalid = [
+        table6.with_cell("y1", "y2", "b"),  # not associative
+        CayleyTable(["0", "a", "b"], [[0, 0, 0], [0, 0, 1], [0, 2, 0]]),  # not commutative
+        CayleyTable(["0", "a"], [[0, 1], [1, 1]]),  # 0 does not absorb
+    ]
+    for table in valid + invalid:
+        report = validate(table)
+        assert validate(table) is report
+        assert report == scan(table)
+    assert [id(t) for t in scans] == [id(t) for t in valid + invalid]
+    assert all(validate(t).ok for t in valid) and not any(validate(t).ok for t in invalid)
+    assert len({id(validate(t)) for t in valid}) == 1  # valid tables share one report
+    # a with_cell copy is a new table with a report of its own
+    base = CayleyTable(table6.names, table6.rows)
+    assert validate(base).ok
+    broken = base.with_cell("y1", "y2", "b")
+    assert not validate(broken).ok and validate(broken) == scan(broken)
+    assert validate(broken.with_cell("y1", "y2", "a")).ok  # table6's own cell again
+    assert len(scans) == len(valid) + len(invalid) + 3
 
 
 def test_subsemigroup_examples(table3):

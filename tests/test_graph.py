@@ -375,6 +375,59 @@ def test_necessary_conditions():
     assert "core" in necessary_conditions(c5).failed
 
 
+def _necessary_conditions_reference(g):
+    """``necessary_conditions`` from the definitions, on name sets: one cut per pair."""
+    nb = {v: g.neighbors(v) for v in g.vertices}
+    connected = all(d < math.inf for d in distances_from(g, g.vertices[0]).values())
+    if connected:
+        core_edges = [(x, y) for x, y in g.edges() if _edge_on_cycle_brute(g, x, y)]
+        on_cycles = all(
+            nb[x] & nb[y] or any(nb[w] & (nb[y] - {x}) for w in nb[x] - {y})
+            for x, y in core_edges
+        )
+        on_core = {v for e in core_edges for v in e}
+        pendants_ok = not core_edges or all(
+            len(nb[v]) == 1 and nb[v] <= on_core for v in g.vertices if v not in on_core
+        )
+        core_ok = on_cycles and pendants_ok
+        detail = "" if core_ok else (
+            "core is not a union of triangles and squares with end vertices attached")
+    else:
+        core_ok, detail = False, "graph is disconnected"
+    cover_ok = True
+    for x, y in itertools.combinations(sorted(g.vertices), 2):
+        if y in nb[x]:
+            continue
+        need = nb[x] | nb[y]
+        if not any(need <= nb[z] | {z} for z in g.vertices):
+            cover_ok, detail = False, f"no vertex dominates N({x}) | N({y})"
+            break
+    return connected, core_ok, cover_ok, detail
+
+
+def test_necessary_conditions_match_the_per_pair_scan():
+    # on the sweep's semigroup graphs, which pass, and on seeded random
+    # graphs, connected or not, whose vertex order differs from name order
+    graphs = [generate_graph(spec) for spec in sweep_specs()]
+    rng = random.Random(24)
+    for _ in range(2000):
+        n = rng.randint(6, 12)
+        names = [f"v{i}" for i in range(n)]
+        rng.shuffle(names)
+        p = rng.uniform(0.15, 0.9)
+        edges = [e for e in itertools.combinations(names, 2) if rng.random() < p]
+        graphs.append(LabeledGraph(names, edges))
+    outcomes = collections.Counter()
+    for g in graphs:
+        nc = necessary_conditions(g)
+        assert (nc.connected, nc.core_ok, nc.cover_ok, nc.detail) == (
+            _necessary_conditions_reference(g)), g.edges()
+        outcomes[nc.connected, nc.core_ok, nc.cover_ok] += 1
+    # five of the six combinations occur; a connected graph with a failed core
+    # and a passing cover check did not show up in this sample
+    assert len(outcomes) == 5 and min(outcomes.values()) >= 20, outcomes
+
+
 def test_classify_special():
     star = LabeledGraph(["c", "l1", "l2", "l3"], [("c", "l1"), ("c", "l2"), ("c", "l3")])
     assert classify_special(star) == "star"

@@ -7,6 +7,7 @@ from zdg.algebra import closure_violation, ideal_violation, validate
 from zdg.families import FamilySpec, generate_graph, generate_table
 from zdg.graph import (
     LabeledGraph,
+    _covering,
     distances_from,
     is_connected,
     is_isomorphic,
@@ -131,3 +132,26 @@ def test_isomorphic_to_own_relabeling(g, rng):
     mapping = dict(zip(names, shuffled))
     h = LabeledGraph(shuffled, [(mapping[a], mapping[b]) for a, b in g.edges()])
     assert is_isomorphic(g, h)
+
+
+@st.composite
+def adjacency_and_two_sets(draw):
+    """Neighbourhood bitmasks of a random graph on 1-12 vertices, and two vertex masks."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.integers(0, (1 << len(pairs)) - 1))
+    adj = [0] * n
+    for k, (i, j) in enumerate(pairs):
+        if chosen >> k & 1:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    everything = (1 << n) - 1
+    return adj, draw(st.integers(0, everything)), draw(st.integers(0, everything))
+
+
+@given(adjacency_and_two_sets())
+@settings(max_examples=300)
+def test_covering_distributes_over_union(case):
+    # the identity the cover pre-check and the search's pair domains rest on
+    adj, a, b = case
+    assert _covering(adj, a | b) == _covering(adj, a) & _covering(adj, b)
