@@ -60,13 +60,20 @@ class ValidationReport:
 class CayleyTable:
     """Immutable multiplication table over named elements, zero first.
 
+    A table stores its ``names`` and ``rows`` tuples and no index by name:
+    ``index`` scans ``names``, which spares each table a dict. Being
+    immutable, a table may share its row tuples with other tables; the
+    tables one search records do. Copying and pickling rebuild the table
+    through the constructor, so every input check runs again and no report
+    travels with the copy.
+
     ``_report`` holds the table's :class:`ValidationReport` once
     :func:`validate` has run on it. The table cannot change after it is
     built, so the report cannot go stale; ``with_cell`` and every other
     derived table is a new object that starts without one.
     """
 
-    __slots__ = ("names", "rows", "_index", "_report")
+    __slots__ = ("names", "rows", "_report")
 
     def __init__(self, names: Sequence[str], rows: Sequence[Sequence[int]]):
         names = tuple(names)
@@ -94,11 +101,13 @@ class CayleyTable:
             packed.append(row)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "rows", tuple(packed))
-        object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
         object.__setattr__(self, "_report", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CayleyTable is immutable")
+
+    def __reduce__(self) -> tuple:
+        return CayleyTable, (self.names, self.rows)
 
     # --- basic views -----------------------------------------------------
 
@@ -108,8 +117,8 @@ class CayleyTable:
 
     def index(self, name: str) -> int:
         try:
-            return self._index[name]
-        except KeyError:
+            return self.names.index(name)
+        except ValueError:
             raise InputError(f"unknown element {name!r}") from None
 
     def mul(self, x: str, y: str) -> str:
@@ -141,11 +150,14 @@ def same_products(t1: CayleyTable, t2: CayleyTable) -> bool:
     """Equality of tables by element *names*, ignoring element order."""
     if set(t1.names) != set(t2.names):
         return False
-    for x in t1.names:
-        for y in t1.names:
-            if t1.mul(x, y) != t2.mul(x, y):
-                return False
-    return True
+    # pos[i]: the position in t2 of t1's element i; cell (i, j) of t1 holds v
+    # iff cell (pos[i], pos[j]) of t2 holds pos[v]
+    where = {name: k for k, name in enumerate(t2.names)}
+    pos = [where[name] for name in t1.names]
+    return all(
+        [r2[p] for p in pos] == [pos[v] for v in r1]
+        for r1, r2 in zip(t1.rows, (t2.rows[p] for p in pos))
+    )
 
 
 # --- validation ----------------------------------------------------------

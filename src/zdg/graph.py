@@ -26,7 +26,9 @@ class LabeledGraph:
     ``masks`` is the graph's one adjacency store, a read-only tuple of
     neighbourhood bitmasks in ``vertices`` order: bit j of ``masks[i]`` is
     set iff ``vertices[i]`` and ``vertices[j]`` are adjacent. Every
-    name-level view (neighbours, degrees, edges) is read off it.
+    name-level view (neighbours, degrees, edges) is read off it. Copying
+    and pickling rebuild the graph from its vertices and edges through the
+    constructor.
     """
 
     __slots__ = ("vertices", "masks", "_index")
@@ -58,6 +60,9 @@ class LabeledGraph:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LabeledGraph is immutable")
+
+    def __reduce__(self) -> tuple:
+        return LabeledGraph, (self.vertices, self.edges())
 
     @property
     def n(self) -> int:

@@ -165,6 +165,8 @@ class SearchState:
         self.max_depth = 0
         self.probes = 0
         self.solutions: list[CayleyTable] = []
+        # each distinct row of the recorded tables, mapped to its one copy
+        self._rows: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     # --- domain construction ------------------------------------------------
 
@@ -485,7 +487,7 @@ class SearchState:
     def _record_solution(self) -> None:
         n = self.n
         rows = [tuple(self.M[i * n : (i + 1) * n]) for i in range(n)]
-        table = CayleyTable(self.names, rows)
+        table = CayleyTable(self.names, [self._rows.setdefault(row, row) for row in rows])
         report = validate(table)
         if not report.ok or not zero_divisor_graph(table).same_graph(self.g):
             raise RuntimeError("internal invariant violation: bad witness produced")

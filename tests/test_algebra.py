@@ -197,3 +197,31 @@ def test_same_products_ignores_element_order(table3):
     shuffled = CayleyTable(names, rows)
     assert same_products(table3, shuffled)
     assert shuffled != table3  # positional equality is order-sensitive
+
+
+def _permuted(table, names):
+    """``table`` with its elements listed in the order ``names``."""
+    perm = [table.index(nm) for nm in names]
+    where = {v: k for k, v in enumerate(perm)}
+    return CayleyTable(names, [[where[table.rows[i][j]] for j in perm] for i in perm])
+
+
+def _same_products_by_name(t1, t2):
+    return set(t1.names) == set(t2.names) and all(
+        t1.mul(x, y) == t2.mul(x, y) for x in t1.names for y in t1.names
+    )
+
+
+def test_same_products_under_a_permuted_name_order(small_table_corpus):
+    for table in small_table_corpus:
+        names = (table.names[0],) + table.names[:0:-1]  # nonzero names reversed
+        other = _permuted(table, names)
+        assert same_products(table, other) and same_products(other, table)
+        # changing one product breaks the match, wherever it sits
+        x, y = table.names[1], table.names[-1]
+        for value in table.names:
+            changed = other.with_cell(x, y, value)
+            assert same_products(table, changed) == _same_products_by_name(table, changed)
+            assert same_products(table, changed) == (value == table.mul(x, y))
+    t3, t5 = small_table_corpus[0], small_table_corpus[2]
+    assert not same_products(t3, t5) and not _same_products_by_name(t3, t5)
