@@ -176,15 +176,61 @@ def test_realize_only_and_removed_flags_rejected(tmp_path, capsys):
         assert "error: unrecognized arguments: --config" in err
 
 
+ANALYZE = {
+    # fig3(2,2,1,2): a realizable graph with a witness
+    "fig3": (None, """\
+vertices: a b d x1 x2 y1 y2 u1 v1 v2
+edges: a-b a-d a-u1 a-x1 a-x2 a-y1 a-y2 b-d b-y1 b-y2 d-v1 d-v2 d-x1 d-x2
+connected: yes
+diameter: 3
+core-vertices: {a,b,d,x1,x2,y1,y2}
+core-edges: a-b a-d a-x1 a-x2 a-y1 a-y2 b-d b-y1 b-y2 d-x1 d-x2
+pendant-vertices: {u1,v1,v2}
+core-on-triangles-or-squares: yes
+pendants-attached-to-core: yes
+necessary-conditions: connected=pass core=pass cover=pass
+witness-count: 8
+witness: (a,b,y1,v1)
+partition[(a,b,y1,v1)]: ab={a,b} C={y1,y2} B={d,u1,x1,x2} L={v1,v2} Ta={u1} Tb={} B1={x1,x2} B2={d}
+classification: none
+"""),
+    "disconnected": ("a b c d e\na b\nc d\n", """\
+vertices: a b c d e
+edges: a-b c-d
+connected: no
+diameter: inf
+isolated-vertices: {e} (outside the connected regime)
+necessary-conditions: connected=fail core=fail cover=fail
+"""),
+    "5-cycle": ("a b c d e\na b\nb c\nc d\nd e\ne a\n", """\
+vertices: a b c d e
+edges: a-b a-e b-c c-d d-e
+connected: yes
+diameter: 2
+core-vertices: {a,b,c,d,e}
+core-edges: a-b a-e b-c c-d d-e
+pendant-vertices: {}
+core-on-triangles-or-squares: no
+pendants-attached-to-core: yes
+necessary-conditions: connected=pass core=fail cover=fail
+witness-count: 0
+classification: none
+"""),
+}
+
+
 def test_analyze_output(tmp_path, capsys):
-    graph_path = tmp_path / "g.graph"
-    run(capsys, "gen", "fig3", "--m", "2", "--n", "2", "--u", "1", "--v", "2",
-        "--out-graph", str(graph_path))
-    code, out, _ = run(capsys, "analyze", str(graph_path))
-    assert code == 0
-    assert "diameter: 3" in out
-    assert "witness: (a,b,y1,v1)" in out
-    assert "necessary-conditions: connected=pass core=pass cover=pass" in out
+    # the whole report, byte for byte
+    for name, (text, expected) in ANALYZE.items():
+        graph_path = tmp_path / f"{name}.graph"
+        if text is None:
+            run(capsys, "gen", "fig3", "--m", "2", "--n", "2", "--u", "1", "--v", "2",
+                "--out-graph", str(graph_path))
+        else:
+            graph_path.write_text(text)
+        code, out, _ = run(capsys, "analyze", str(graph_path))
+        assert code == 0
+        assert out == expected, name
 
 
 def test_analyze_empty_file_is_input_error(tmp_path, capsys):

@@ -1,14 +1,16 @@
 import hashlib
+import itertools
 from collections import defaultdict
 
 import pytest
 
 from zdg.acceptance import GOLDEN, load_golden_table, sweep_specs
-from zdg.algebra import CayleyTable
+from zdg.algebra import CayleyTable, validate
 from zdg.errors import InputError
 from zdg.families import FamilySpec, generate_table
 from zdg.graph import delta_witnesses, zero_divisor_graph
-from zdg.theorems import TheoremReport, _claims, _witness_claims, run_all
+from zdg.search import enumerate_tables
+from zdg.theorems import ClaimCheck, TheoremReport, _claims, _witness_claims, run_all
 
 
 def _check(table, prefix, subject=None):
@@ -208,15 +210,89 @@ def golden_and_sweep():
     return tables + [generate_table(spec) for spec in sweep_specs()]
 
 
+def _claim_digest(tables):
+    """sha256 of every claim line of run_all on ``tables``, in order."""
+    text = "".join("\n".join(c.line() for c in run_all(t).checks) + "\n\n" for t in tables)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_theorem_output_pinned(golden_and_sweep):
     # every claim line of run_all on the 5 golden and 247 sweep tables, in
     # order, pinned by one digest
-    text = "".join(
-        "\n".join(c.line() for c in run_all(t).checks) + "\n\n" for t in golden_and_sweep
-    )
-    assert hashlib.sha256(text.encode()).hexdigest() == (
+    assert _claim_digest(golden_and_sweep) == (
         "e3ba194149fef8183c7b0d765c892e8ade76098ae7897d0333acbbc82fdf27e1"
     )
+
+
+def test_theorem_output_pinned_on_five_vertex_tables(bench_graphs):
+    # every table that realizes one of the 21 five-vertex classes, class by
+    # class in file order: witnesses, caps and end vertices the paper's
+    # families do not reach
+    tables = [t for g in bench_graphs[5] for t in enumerate_tables(g).tables]
+    assert len(tables) == 6414
+    assert _claim_digest(tables) == (
+        "1d82f50ee1a6020b8efbfdcee3e163eafa91284a09c5dcae83f7e87ff5d1d995"
+    )
+
+
+def test_theorem_output_pinned_on_every_order_4_semigroup():
+    # every commutative semigroup with zero on 0 a b c, the cells (i <= j)
+    # filled in product order: non-zero-divisors and isolated vertices,
+    # which no family produces
+    cells = [(i, j) for i in range(1, 4) for j in range(i, 4)]
+    tables = []
+    for values in itertools.product(range(4), repeat=len(cells)):
+        rows = [[0] * 4 for _ in range(4)]
+        for (i, j), v in zip(cells, values):
+            rows[i][j] = rows[j][i] = v
+        table = CayleyTable(["0", "a", "b", "c"], rows)
+        if validate(table).ok:
+            tables.append(table)
+    assert len(tables) == 194
+    assert _claim_digest(tables) == (
+        "c17ccaf24ad66419607f826b0c315254a1fcacce40d205d09de642a9a7d5e509"
+    )
+
+
+def test_claim_check_is_a_read_only_record(table6):
+    check = ClaimCheck("thm_2_6", "witness=(b,a,y1,v1)", True, False, "a*a=d")
+    for field in ("claim", "subject", "applicable", "holds", "detail"):
+        with pytest.raises(AttributeError):
+            setattr(check, field, None)
+    assert check.line() == "CLAIM thm_2_6[witness=(b,a,y1,v1)] applicable fails a*a=d"
+    assert ClaimCheck("prop_2_2.1", "b=a", True, True).line() == (
+        "CLAIM prop_2_2.1[b=a] applicable holds"
+    )
+    assert ClaimCheck("lemma_2_1", "", False, None, "no pair at distance 3").line() == (
+        "CLAIM lemma_2_1 vacuous - no pair at distance 3"
+    )
+    report = run_all(table6)
+    assert report.failures() == ()
+    planted = TheoremReport(report.checks + (check,))
+    assert planted.failures() == (check,)
+    assert report.to_text() == TABLE6_TEXT
+    assert planted.to_text() == "".join(sorted((TABLE6_TEXT + check.line() + "\n").splitlines(True)))
+
+
+TABLE6_TEXT = """\
+CLAIM lemma_2_1[x=y1] applicable holds d(y1,y2)=3 and y1*y1=y1
+CLAIM lemma_2_1[x=y2] applicable holds d(y2,y1)=3 and y2*y2=y2
+CLAIM prop_2_2.1[b=a] vacuous - T_b empty
+CLAIM prop_2_2.1[b=b] vacuous - b^2=0
+CLAIM prop_2_2.1[b=x1] vacuous - x1^2=0
+CLAIM prop_2_2.1[b=x2] vacuous - x2^2=0
+CLAIM prop_2_2.1[b=y1] vacuous - T_b empty
+CLAIM prop_2_2.1[b=y2] vacuous - T_b empty
+CLAIM prop_2_2.2[b=a] vacuous - T_b empty
+CLAIM prop_2_2.2[b=b] vacuous - T_b empty
+CLAIM prop_2_2.2[b=x1] applicable holds
+CLAIM prop_2_2.2[b=x2] applicable holds
+CLAIM prop_2_2.2[b=y1] vacuous - T_b empty
+CLAIM prop_2_2.2[b=y2] vacuous - T_b empty
+CLAIM prop_2_8 vacuous - no witness
+CLAIM thm_2_4 vacuous - no witness
+CLAIM thm_2_6 vacuous - no witness
+"""
 
 
 def test_run_all_shares_witness_claims_like_the_checkers(golden_and_sweep):
