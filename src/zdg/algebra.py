@@ -209,32 +209,38 @@ def _scan(table: CayleyTable) -> ValidationReport:
 # --- algebraic predicates ------------------------------------------------
 
 
-def closure_violation(
-    table: CayleyTable, subset: Iterable[str]
-) -> tuple[str, str, str] | None:
+def _escape(rows: Sequence[Sequence[int]], prods: Sequence[int], members: int, others: int):
+    """The least (i, j, i*j), by i then j, with i in ``members``, j in ``others``
+    and i*j not in ``members``, or None; subsets are masks of element indices.
+
+    ``prods[i]``, the mask of row i's products, lets a row whose products all
+    lie in ``members`` pass unscanned. ``others`` is every element for an
+    ideal test, ``members`` for a closure test.
+    """
+    for i, row in enumerate(rows):
+        if members >> i & 1 and prods[i] & ~members:
+            for j, p in enumerate(row):
+                if others >> j & 1 and not members >> p & 1:
+                    return i, j, p
+    return None
+
+
+def _violation(table: CayleyTable, subset: Iterable[str], ideal: bool):
+    members = sum({1 << table.index(name) for name in subset})
+    rows, names = table.rows, table.names
+    others = (1 << len(names)) - 1 if ideal else members
+    bad = _escape(rows, [sum({1 << p for p in row}) for row in rows], members, others)
+    return bad and (names[bad[0]], names[bad[1]], names[bad[2]])
+
+
+def closure_violation(table: CayleyTable, subset: Iterable[str]) -> tuple[str, str, str] | None:
     """First (x, y, x*y) with x, y in the subset but x*y outside, or None."""
-    idx = sorted(table.index(name) for name in subset)
-    members = set(idx)
-    for i in idx:
-        for j in idx:
-            p = table.rows[i][j]
-            if p not in members:
-                return (table.names[i], table.names[j], table.names[p])
-    return None
+    return _violation(table, subset, ideal=False)
 
 
-def ideal_violation(
-    table: CayleyTable, subset: Iterable[str]
-) -> tuple[str, str, str] | None:
+def ideal_violation(table: CayleyTable, subset: Iterable[str]) -> tuple[str, str, str] | None:
     """First (s, t, s*t) with s in the subset, t anywhere, s*t outside."""
-    idx = sorted(table.index(name) for name in subset)
-    members = set(idx)
-    for i in idx:
-        for j in range(table.order):
-            p = table.rows[i][j]
-            if p not in members:
-                return (table.names[i], table.names[j], table.names[p])
-    return None
+    return _violation(table, subset, ideal=True)
 
 
 # --- file format ----------------------------------------------------------

@@ -26,15 +26,16 @@ from .families import (
     generate_table,
 )
 from .graph import (
+    _conditions,
+    _core_of,
+    _decomposition,
     classify_special,
-    core,
     delta_witnesses,
     diameter,
     emit_dot,
     emit_graph_text,
     is_connected,
     isolated_vertices,
-    necessary_conditions,
     parse_graph_text,
     partition,
     zero_divisor_graph,
@@ -134,28 +135,29 @@ def _cmd_analyze(args) -> int:
     g = parse_graph_text(_read(args.graph))
     print("vertices:", " ".join(g.vertices))
     print("edges:", " ".join(f"{x}-{y}" for x, y in g.edges()))
-    connected = is_connected(g)
-    print("connected:", "yes" if connected else "no")
+    # one connectivity test and one core computation serve every line below
+    core_of = _core_of(g.masks) if is_connected(g) else None
+    nc = _conditions(g, core_of)
+    print("connected:", "yes" if nc.connected else "no")
     diam = diameter(g)
     print("diameter:", "inf" if math.isinf(diam) else int(diam))
     isolated = isolated_vertices(g)
     if isolated:
         print("isolated-vertices:", _fmt_set(isolated), "(outside the connected regime)")
-    if connected and g.n > 0:
-        dec = core(g)
+    if nc.connected:  # a graph file names at least one vertex
+        dec = _decomposition(g.vertices, *core_of)
         print("core-vertices:", _fmt_set(dec.core_vertices))
         print("core-edges:", " ".join(f"{x}-{y}" for x, y in sorted(dec.core_edges)))
         print("pendant-vertices:", _fmt_set(dec.pendant_vertices))
         print("core-on-triangles-or-squares:", "yes" if dec.edges_on_triangle_or_square else "no")
         print("pendants-attached-to-core:", "yes" if dec.pendants_are_ends_on_core else "no")
-    nc = necessary_conditions(g)
     print(
         "necessary-conditions:",
         f"connected={'pass' if nc.connected else 'fail'}",
         f"core={'pass' if nc.core_ok else 'fail'}",
         f"cover={'pass' if nc.cover_ok else 'fail'}",
     )
-    if connected:
+    if nc.connected:
         witnesses = delta_witnesses(g)
         print("witness-count:", len(witnesses))
         for w in witnesses[:1]:

@@ -297,8 +297,11 @@ def core(g: LabeledGraph) -> CoreDecomposition:
     """
     if not is_connected(g):
         raise InputError("core() requires a connected graph")
-    pairs, on_cycles, pendants_ok = _core_of(g.masks)
-    names = g.vertices
+    return _decomposition(g.vertices, *_core_of(g.masks))
+
+
+def _decomposition(names, pairs, on_cycles, pendants_ok) -> CoreDecomposition:
+    """``core()`` of the graph on ``names`` from ``_core_of``'s result."""
     core_edges = frozenset(tuple(sorted((names[i], names[j]))) for i, j in pairs)
     core_vertices = frozenset(v for e in core_edges for v in e)
     pendants = frozenset(v for v in names if v not in core_vertices)
@@ -322,13 +325,6 @@ def t_set(g: LabeledGraph, a: str) -> set[str]:
     return {g.vertices[z] for z in _bits(masks[g.check_vertex(a)]) if masks[z].bit_count() == 1}
 
 
-def is_internal_vertex(g: LabeledGraph, v: str) -> bool:
-    """Not an end vertex, and with no end vertex among its neighbors."""
-    masks = g.masks
-    nb = masks[g.check_vertex(v)]
-    return nb.bit_count() > 1 and all(masks[w].bit_count() > 1 for w in _bits(nb))
-
-
 @dataclass(frozen=True)
 class DeltaWitness:
     """Adjacent a,b plus s in C(a,b) and z at distance exactly 3 from s."""
@@ -339,35 +335,36 @@ class DeltaWitness:
     z: str
 
 
-def _witness_edges(g: LabeledGraph) -> Iterator[tuple[str, str, list[str], list[str]]]:
-    """``(a, b, caps, far)`` per ordered edge with a witness, in (a, b) order.
+def _witness_edges(g: LabeledGraph) -> list[tuple[int, int, list[int], list[int]]]:
+    """``(a, b, caps, far)`` per ordered edge with a witness, as vertex positions.
 
-    Both orientations are tried, as a and b play different roles in a witness.
-    ``caps`` is C(a,b) and ``far`` the vertices at distance 3 from its caps,
-    both sorted. Each cap s has N(s) = {a, b}, so its distance-3 layer is
-    N(X) - X - {a, b} with X = N(a) | N(b) - {a, b}, whichever cap s is and
-    whichever way the edge is oriented: one breadth-first search per edge
-    serves both orientations, which share the ``caps`` and ``far`` lists.
+    Both orientations of an edge are listed, in name order of (a, b), as a
+    and b play different roles. ``caps`` is C(a,b), the vertices whose mask
+    is {a, b}, and ``far`` the vertices at distance 3 from a cap, both in
+    name order. Every cap has N(s) = {a, b}, so one breadth-first search
+    from any cap serves the edge's caps and both its orientations.
     """
     names, masks = g.vertices, g.masks
-    caps_of: dict[int, list[str]] = {}
-    for v, m in sorted(zip(names, masks)):
-        caps_of.setdefault(m, []).append(v)
-    far_of: dict[int, list[str]] = {}
-    for a in sorted(names):
-        for b in sorted(g.neighbors(a)):
-            edge = 1 << g.check_vertex(a) | 1 << g.check_vertex(b)
-            caps = caps_of.get(edge)
-            if caps and edge not in far_of:
-                layer3 = sum(_layers(masks, g.check_vertex(caps[0]))[3:4])  # 0 if none
-                far_of[edge] = sorted(names[z] for z in _bits(layer3))
-            if caps and far_of[edge]:
-                yield a, b, caps, far_of[edge]
+    caps_of: dict[int, list[int]] = {}
+    for v in sorted(range(g.n), key=names.__getitem__):
+        caps_of.setdefault(masks[v], []).append(v)
+    out = []
+    for edge, caps in caps_of.items():
+        if edge.bit_count() != 2:
+            continue
+        a, b = _bits(edge)
+        if masks[a] >> b & 1:
+            layer3 = sum(_layers(masks, caps[0])[3:4])  # 0 if none
+            far = sorted(_bits(layer3), key=names.__getitem__)
+            if far:
+                out += [(a, b, caps, far), (b, a, caps, far)]
+    return sorted(out, key=lambda e: (names[e[0]], names[e[1]]))
 
 
 def delta_witnesses(g: LabeledGraph) -> list[DeltaWitness]:
     """Every witness, in lexicographic (a, b, s, z) order."""
-    return [DeltaWitness(a, b, s, z)
+    nm = g.vertices
+    return [DeltaWitness(nm[a], nm[b], nm[s], nm[z])
             for a, b, caps, far in _witness_edges(g) for s in caps for z in far]
 
 
@@ -396,39 +393,31 @@ def partition(g: LabeledGraph, w: DeltaWitness) -> StructurePartition:
     is not a semigroup graph at all.
     """
     a, b, s, z = (g.check_vertex(v) for v in (w.a, w.b, w.s, w.z))
-    masks = g.masks
+    masks, name = g.masks, g.vertices
+    ab_mask = 1 << a | 1 << b
+    cap_mask = sum(1 << v for v, m in enumerate(masks) if m == ab_mask)
     if not masks[a] >> b & 1:
         raise InputError(f"invalid witness: {w.a!r} and {w.b!r} are not adjacent")
-    caps = c_set(g, w.a, w.b)
-    if w.s not in caps:
+    if not cap_mask >> s & 1:
         raise InputError(f"invalid witness: {w.s!r} is not in C({w.a},{w.b})")
     layers = _layers(masks, s) + [0] * 3
     if not layers[3] >> z & 1:
         raise InputError(f"invalid witness: d({w.s},{w.z}) != 3")
 
     def names(mask: int) -> frozenset[str]:
-        return frozenset(g.vertices[v] for v in _bits(mask))
-
-    def mask_of(vs: Iterable[str]) -> int:
-        return sum(1 << g.check_vertex(v) for v in vs)
+        return frozenset(name[v] for v in _bits(mask))
 
     def by_name(mask: int) -> list[int]:
-        return sorted(_bits(mask), key=g.vertices.__getitem__)
+        return sorted(_bits(mask), key=name.__getitem__)
 
-    ab_mask = 1 << a | 1 << b
-    cap_mask = mask_of(caps)
     b_mask = layers[2] & ~cap_mask
     l_mask = layers[3]
-    ab, b_set, l_set = names(ab_mask), names(b_mask), names(l_mask)
-    violations: list[str] = []
-    for v in _bits((1 << g.n) - 1 & ~(ab_mask | cap_mask | b_mask | l_mask)):
-        violations.append(f"vertex {g.vertices[v]} is neither in {{a,b}}, C(a,b), B nor L")
-    t_a = frozenset(t_set(g, w.a))
-    t_b = frozenset(t_set(g, w.b))
-    rest = b_mask & ~mask_of(t_a | t_b)
+    violations = [f"vertex {name[v]} is neither in {{a,b}}, C(a,b), B nor L"
+                  for v in _bits((1 << g.n) - 1 & ~(ab_mask | cap_mask | b_mask | l_mask))]
+    t_a, t_b = (sum(1 << v for v in _bits(masks[x]) if masks[v].bit_count() == 1) for x in (a, b))
+    rest = b_mask & ~(t_a | t_b)
     b2_mask = sum(1 << v for v in _bits(rest) if masks[v] & ab_mask == ab_mask)
     b1_mask = rest & ~b2_mask
-    name = g.vertices
     for x, y in combinations(by_name(l_mask), 2):
         if masks[x] >> y & 1:
             violations.append(f"L is not independent: {name[x]}-{name[y]}")
@@ -442,7 +431,7 @@ def partition(g: LabeledGraph, w: DeltaWitness) -> StructurePartition:
         if not masks[v] & b_mask:
             violations.append(f"B1-vertex {name[v]} has no neighbor inside B")
     return StructurePartition(
-        ab, frozenset(caps), b_set, l_set, t_a, t_b, names(b1_mask), names(b2_mask),
+        *map(names, (ab_mask, cap_mask, b_mask, l_mask, t_a, t_b, b1_mask, b2_mask)),
         tuple(violations),
     )
 
@@ -497,11 +486,15 @@ def necessary_conditions(g: LabeledGraph) -> NecessaryConditionsReport:
     vertex z with N(x) | N(b) <= N[z] must be y or a neighbor of y, and must
     also be a or a neighbor of a. Either way d(x,y) <= 3, a contradiction.
     """
-    connected = is_connected(g)
+    return _conditions(g, _core_of(g.masks) if is_connected(g) else None)
+
+
+def _conditions(g: LabeledGraph, core_of) -> NecessaryConditionsReport:
+    """``necessary_conditions(g)`` from ``_core_of(g.masks)``, None if g is disconnected."""
+    connected = core_of is not None
     detail = ""
     if connected:
-        _, on_cycles, pendants_ok = _core_of(g.masks)
-        core_ok = on_cycles and pendants_ok
+        core_ok = core_of[1] and core_of[2]
         if not core_ok:
             detail = "core is not a union of triangles and squares with end vertices attached"
     else:

@@ -233,6 +233,31 @@ def test_analyze_output(tmp_path, capsys):
         assert out == expected, name
 
 
+def test_analyze_computes_the_core_once(tmp_path, capsys, monkeypatch):
+    # the connectivity, core and necessary-conditions lines share one core
+    calls = []
+    real = zdg.graph._core_of
+
+    def counting(adj):
+        calls.append(adj)
+        return real(adj)
+
+    monkeypatch.setattr(zdg.graph, "_core_of", counting)
+    monkeypatch.setattr(zdg.cli, "_core_of", counting)
+    fig3 = emit_graph_text(generate_graph(FamilySpec("fig3", m=2, n=2, u=1, v=2)))
+    for text in (fig3, "a b c d\na b\nb c\nc d\nd a\n", ANALYZE["5-cycle"][0]):
+        graph_path = tmp_path / "g.graph"
+        graph_path.write_text(text)
+        calls.clear()
+        code, out, _ = run(capsys, "analyze", str(graph_path))
+        assert code == 0 and "core-vertices:" in out
+        assert len(calls) == 1, text
+    calls.clear()
+    graph_path.write_text(ANALYZE["disconnected"][0])
+    assert run(capsys, "analyze", str(graph_path))[0] == 0
+    assert calls == []
+
+
 def test_analyze_empty_file_is_input_error(tmp_path, capsys):
     empty = tmp_path / "empty.graph"
     empty.write_text("")

@@ -22,7 +22,6 @@ from zdg.graph import (
     emit_graph_text,
     is_isomorphic,
     is_connected,
-    is_internal_vertex,
     isomorphisms,
     isolated_vertices,
     necessary_conditions,
@@ -236,7 +235,6 @@ def test_accessors_match_name_set_model(small_connected_graphs):
             assert g.degree(x) == len(model[x])
             assert all(g.has_edge(x, y) == (y in model[x]) for y in vertices)
             assert t_set(g, x) == model[x] & ends
-            assert is_internal_vertex(g, x) == (len(model[x]) > 1 and not model[x] & ends)
         for x, y in edges:
             for a, b in ((x, y), (y, x)):
                 assert c_set(g, a, b) == {z for z in vertices if model[z] == {a, b}}
@@ -465,23 +463,6 @@ def test_classify_special_ignores_vertex_names(small_connected_graphs):
         rename = dict(zip(g.vertices, reversed(g.vertices)))
         h = LabeledGraph(g.vertices, [(rename[x], rename[y]) for x, y in g.edges()])
         assert classify_special(h) == classify_special(g), g.edges()
-
-
-def test_internal_vertices_on_the_families():
-    from zdg.graph import is_internal_vertex
-
-    g3 = generate_graph(FamilySpec("fig3", m=2, n=2, u=1, v=2))
-    assert not is_internal_vertex(g3, "a")  # carries the end vertex u1
-    assert is_internal_vertex(g3, "b")
-    assert not is_internal_vertex(g3, "u1")  # an end vertex itself
-    assert not is_internal_vertex(g3, "d")
-    g5 = generate_graph(FamilySpec("fig5", m=1, n=1, v=1))
-    assert is_internal_vertex(g5, "a")
-    assert not is_internal_vertex(g5, "b")
-    g4 = generate_graph(FamilySpec("fig4", caps=1, u=1, v=1, w=1))
-    assert not any(is_internal_vertex(g4, v) for v in ("a", "b", "d"))
-    kn2 = generate_graph(FamilySpec("kn2", n=4))
-    assert is_internal_vertex(kn2, "a") and not is_internal_vertex(kn2, "x1")
 
 
 def test_isomorphism():

@@ -10,7 +10,7 @@ from zdg.errors import InputError
 from zdg.families import FamilySpec, generate_table
 from zdg.graph import delta_witnesses, zero_divisor_graph
 from zdg.search import enumerate_tables
-from zdg.theorems import ClaimCheck, TheoremReport, _claims, _witness_claims, run_all
+from zdg.theorems import ClaimCheck, TheoremReport, _claims, _layout, _witness_claims, run_all
 
 
 def _check(table, prefix, subject=None):
@@ -306,9 +306,10 @@ def test_run_all_shares_witness_claims_like_the_checkers(golden_and_sweep):
             by_subject[c.subject].append(c)
         g = zero_divisor_graph(t)
         ws = delta_witnesses(g)
+        layout = _layout(t, g)
         assert sum(len(v) for k, v in by_subject.items() if k.startswith("witness=")) == 7 * len(ws)
         for w in ws:
-            own = _witness_claims(t, g, w)
+            own = _witness_claims(layout, *(g.check_vertex(v) for v in (w.a, w.b, w.s, w.z)))
             assert by_subject[f"witness=({w.a},{w.b},{w.s},{w.z})"] == own
         witnesses += len(ws)
     assert witnesses == 1680
