@@ -489,7 +489,7 @@ def necessary_conditions(g: LabeledGraph) -> NecessaryConditionsReport:
     return _conditions(g, _core_of(g.masks) if is_connected(g) else None)
 
 
-def _conditions(g: LabeledGraph, core_of) -> NecessaryConditionsReport:
+def _conditions(g: LabeledGraph, core_of: tuple | None) -> NecessaryConditionsReport:
     """``necessary_conditions(g)`` from ``_core_of(g.masks)``, None if g is disconnected."""
     connected = core_of is not None
     detail = ""
