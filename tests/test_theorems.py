@@ -210,18 +210,21 @@ def golden_and_sweep():
     return tables + [generate_table(spec) for spec in sweep_specs()]
 
 
-def _claim_digest(tables):
-    """sha256 of every claim line of run_all on ``tables``, in order."""
-    text = "".join("\n".join(c.line() for c in run_all(t).checks) + "\n\n" for t in tables)
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def test_theorem_output_pinned(golden_and_sweep):
     # every claim line of run_all on the 5 golden and 247 sweep tables, in
     # order, pinned by one digest
-    assert _claim_digest(golden_and_sweep) == (
+    text = "".join(
+        "\n".join(c.line() for c in run_all(t).checks) + "\n\n" for t in golden_and_sweep
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
         "e3ba194149fef8183c7b0d765c892e8ade76098ae7897d0333acbbc82fdf27e1"
     )
+
+
+def _claim_digest(tables):
+    """sha256 of every claim line of run_all on ``tables``, in order, as above."""
+    text = "".join("\n".join(c.line() for c in run_all(t).checks) + "\n\n" for t in tables)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_theorem_output_pinned_on_five_vertex_tables(bench_graphs):
@@ -259,6 +262,9 @@ def test_claim_check_is_a_read_only_record(table6):
     for field in ("claim", "subject", "applicable", "holds", "detail"):
         with pytest.raises(AttributeError):
             setattr(check, field, None)
+    assert check == ("thm_2_6", "witness=(b,a,y1,v1)", True, False, "a*a=d")
+    claim, _, applicable, holds, detail = check
+    assert (claim, applicable, holds, detail) == ("thm_2_6", True, False, "a*a=d")
     assert check.line() == "CLAIM thm_2_6[witness=(b,a,y1,v1)] applicable fails a*a=d"
     assert ClaimCheck("prop_2_2.1", "b=a", True, True).line() == (
         "CLAIM prop_2_2.1[b=a] applicable holds"
