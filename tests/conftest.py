@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from zdg.acceptance import load_golden_table
+from zdg.algebra import CayleyTable, validate
 from zdg.families import FamilySpec, generate_graph, generate_table
 from zdg.graph import LabeledGraph, is_connected
 
@@ -56,6 +57,26 @@ def small_table_corpus(table3, table4, table5, table6, table7):
     ):
         corpus.append(generate_table(spec))
     return corpus
+
+
+@pytest.fixture(scope="session")
+def order4_semigroups():
+    """Every commutative semigroup with zero on 0 a b c: 194 tables.
+
+    The cells (i <= j) are filled in product order. The tables carry
+    non-zero-divisors and isolated vertices, which no family produces.
+    """
+    cells = [(i, j) for i in range(1, 4) for j in range(i, 4)]
+    tables = []
+    for values in itertools.product(range(4), repeat=len(cells)):
+        rows = [[0] * 4 for _ in range(4)]
+        for (i, j), v in zip(cells, values):
+            rows[i][j] = rows[j][i] = v
+        table = CayleyTable(["0", "a", "b", "c"], rows)
+        if validate(table).ok:
+            tables.append(table)
+    assert len(tables) == 194
+    return tables
 
 
 @pytest.fixture(scope="session")

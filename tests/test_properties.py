@@ -3,7 +3,14 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from zdg.algebra import closure_violation, ideal_violation, validate
+from zdg.algebra import (
+    AssociativityFailure,
+    CayleyTable,
+    ValidationReport,
+    closure_violation,
+    ideal_violation,
+    validate,
+)
 from zdg.families import FamilySpec, generate_graph, generate_table
 from zdg.graph import (
     LabeledGraph,
@@ -32,6 +39,94 @@ GRAPHS = [generate_graph(spec) for spec in SPECS]
 
 tables = st.sampled_from(TABLES)
 graphs = st.sampled_from(GRAPHS)
+
+
+def _reference_report(rows):
+    """validate's report by the definitions, over all pairs and all triples."""
+    n = len(rows)
+    triple = next(
+        ((i, j, k) for i in range(n) for j in range(n) for k in range(n)
+         if rows[rows[i][j]][k] != rows[i][rows[j][k]]),
+        None,
+    )
+    failure = None
+    if triple:
+        i, j, k = triple
+        failure = AssociativityFailure(i, j, k, rows[rows[i][j]][k], rows[i][rows[j][k]])
+    return ValidationReport(
+        all(rows[i][j] == rows[j][i] for i in range(n) for j in range(n)),
+        all(rows[0][j] == 0 == rows[j][0] for j in range(n)),
+        triple is None,
+        failure,
+    )
+
+
+def _semigroups_up_to_6():
+    """Semigroups with zero of order <= 6, commutative or not."""
+    out = [t.rows for t in TABLES if t.order <= 6]
+    for n in range(1, 7):
+        out.append(tuple((0,) * n for _ in range(n)))  # null semigroup
+        # left and right zero bands with a zero adjoined: not commutative
+        out.append(tuple(tuple(i if i and j else 0 for j in range(n)) for i in range(n)))
+        out.append(tuple(tuple(j if i and j else 0 for j in range(n)) for i in range(n)))
+    # the Brandt semigroup B2 on 0, e11, e12, e21, e22: e_ab * e_cd = e_ad if b == c
+    units = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    out.append(tuple(
+        tuple(0 if not (x and y) or units[x - 1][1] != units[y - 1][0]
+              else 1 + units.index((units[x - 1][0], units[y - 1][1])) for y in range(5))
+        for x in range(5)
+    ))
+    return out
+
+
+SEMIGROUPS = _semigroups_up_to_6()
+
+
+@st.composite
+def small_tables(draw):
+    """Tables of order <= 6: a semigroup with its nonzero elements permuted,
+    or random cells with or without a commutative absorbing zero, then a few
+    cells changed, in one place or in both symmetric ones."""
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(SEMIGROUPS))
+        n = len(base)
+        perm = [0] + draw(st.permutations(range(1, n)))
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                rows[perm[i]][perm[j]] = perm[base[i][j]]
+    else:
+        n = draw(st.integers(1, 6))
+        cell = st.integers(0, n - 1)
+        rows = [[draw(cell) for _ in range(n)] for _ in range(n)]
+        if draw(st.booleans()):  # an absorbing zero
+            for j in range(n):
+                rows[0][j] = rows[j][0] = 0
+        if draw(st.booleans()):  # commutative
+            for i in range(n):
+                for j in range(i):
+                    rows[i][j] = rows[j][i]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j, v = draw(st.tuples(*[st.integers(0, n - 1)] * 3))
+        rows[i][j] = v
+        if draw(st.booleans()):
+            rows[j][i] = v
+    return rows
+
+
+@given(small_tables())
+@settings(max_examples=400, deadline=None)
+def test_validate_matches_the_all_triples_reference(rows):
+    # every report field, first_failure included, on tables of every kind:
+    # commutative or not, absorbing zero or not, associative or not
+    assert validate(CayleyTable(["0", "a", "b", "c", "d", "e"][: len(rows)], rows)) == (
+        _reference_report(rows)
+    )
+
+
+def test_validate_matches_the_reference_on_every_order_4_semigroup(order4_semigroups):
+    for table in order4_semigroups:
+        assert validate(CayleyTable(table.names, table.rows)) == _reference_report(table.rows)
 
 
 @given(tables)
