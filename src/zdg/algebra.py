@@ -9,6 +9,7 @@ structurally, so defective tables can be represented and reported on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -18,6 +19,8 @@ ZERO_NAME = "0"
 
 
 def _check_name(name: str) -> None:
+    if not isinstance(name, str):
+        raise InputError(f"bad element name {name!r}: names are strings")
     # a leading '#' would make a graph file read the name's line as a comment
     # ``split`` splits at exactly the characters for which ``isspace`` holds
     if name.split() != [name] or "," in name or name[0] == "#":
@@ -25,6 +28,21 @@ def _check_name(name: str) -> None:
             f"bad element name {name!r}: names are nonempty tokens "
             "without whitespace or commas that do not start with '#'"
         )
+
+
+@lru_cache(maxsize=16)
+def _check_names(names: tuple[str, ...]) -> None:
+    """Check every name of a table and that no name repeats.
+
+    Cached per tuple, because the tables one search records share one names
+    tuple; a call that raises is not cached, so it raises again.
+    """
+    seen = set()
+    for name in names:
+        _check_name(name)
+        if name in seen:
+            raise InputError(f"duplicate element name {name!r}")
+        seen.add(name)
 
 
 @dataclass(frozen=True)
@@ -81,12 +99,10 @@ class CayleyTable:
             raise InputError("a table needs at least the zero element")
         if names[0] != ZERO_NAME:
             raise InputError('element 0 must be the zero element, named "0"')
-        seen = set()
         for name in names:
-            _check_name(name)
-            if name in seen:
-                raise InputError(f"duplicate element name {name!r}")
-            seen.add(name)
+            if not isinstance(name, str):
+                _check_name(name)  # raises, before the cache hashes the tuple
+        _check_names(names)
         n = len(names)
         if len(rows) != n:
             raise InputError(f"table is not square: {len(rows)} rows for {n} elements")
@@ -95,8 +111,9 @@ class CayleyTable:
             row = tuple(row)
             if len(row) != n:
                 raise InputError(f"row {i} has {len(row)} entries, expected {n}")
-            for j, value in enumerate(row):
+            for value in row:
                 if not isinstance(value, int) or not 0 <= value < n:
+                    j = next(j for j, v in enumerate(row) if v is value)
                     raise InputError(f"cell ({i},{j}) holds {value!r}, not an element index")
             packed.append(row)
         object.__setattr__(self, "names", names)
@@ -183,11 +200,13 @@ def validate(table: CayleyTable) -> ValidationReport:
 def _scan(table: CayleyTable) -> ValidationReport:
     """The checks ``validate`` reports, run on the table's rows.
 
-    The associativity scan compares, for each (i, j) in lexicographic order,
-    the products (i*j)*k over all k with i*(j*k), read through row j's
-    getter, and looks for the least k only where they differ, so
-    ``first_failure`` is the least failing triple. The one triple of a
-    one-element table always agrees.
+    A commutative table whose 0 absorbs is checked by ``_half_scan``, and a
+    valid table ends there. Any other table, and one that the half scan
+    finds not associative, gets the full scan: for each (i, j) in
+    lexicographic order, it compares the products (i*j)*k over all k with
+    i*(j*k), read through row j's getter, and looks for the least k only
+    where they differ, so ``first_failure`` is the least failing triple. The
+    one triple of a one-element table always agrees.
     """
     rows = table.rows
     n = table.order
@@ -195,6 +214,8 @@ def _scan(table: CayleyTable) -> ValidationReport:
     zero_ok = all(rows[0][j] == 0 and rows[j][0] == 0 for j in range(n))
     if n == 1:
         return ValidationReport(commutative, zero_ok, True, None)
+    if commutative and zero_ok and _half_scan(rows):
+        return _VALID
     through = [itemgetter(*row) for row in rows]
     for i, ri in enumerate(rows):
         for j, ij in enumerate(ri):
@@ -204,6 +225,29 @@ def _scan(table: CayleyTable) -> ValidationReport:
                 fail = AssociativityFailure(i, j, k, left[k], right[k])
                 return ValidationReport(commutative, zero_ok, False, fail)
     return ValidationReport(commutative, zero_ok, True, None)
+
+
+def _half_scan(rows: Sequence[Sequence[int]]) -> bool:
+    """Associativity of a commutative table whose 0 absorbs, from the pairs 0 < i <= j.
+
+    Write f(a, b, c) = (a*b)*c; commutativity makes f symmetric in a and b.
+    For the pair (i, j) the scan compares row i*j, the products (i*j)*k over
+    all k, with j*(i*k) = (i*k)*j, read through row i's getter: it tests
+    f(i, j, k) = f(i, k, j) for every k. Take nonzero a, b, c, sorted as
+    x <= y <= z. The pair (x, y) gives f(x, y, z) = f(x, z, y), and the pair
+    (y, z) gives f(y, z, x) = f(y, x, z) = f(x, y, z); repeated elements
+    work the same way. So f takes one value on all six orderings of a, b, c,
+    and (a*b)*c = f(a, b, c) = f(b, c, a) = (b*c)*a = a*(b*c). A triple with
+    a 0 holds because 0 absorbs, so the pairs with i = 0 are not needed.
+    """
+    n = len(rows)
+    for i in range(1, n):
+        ri = rows[i]
+        through = itemgetter(*ri)
+        for j in range(i, n):
+            if rows[ri[j]] != through(rows[j]):
+                return False
+    return True
 
 
 # --- algebraic predicates ------------------------------------------------

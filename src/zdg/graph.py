@@ -529,8 +529,9 @@ def _is_path(g: LabeledGraph) -> bool:
 
 
 def _is_complete_bipartite(g: LabeledGraph) -> bool:
-    """Whether g is complete bipartite, read off the parity of the BFS layers."""
-    if g.n < 2 or not is_connected(g):
+    """Whether the connected graph g is complete bipartite, read off the
+    parity of the BFS layers (on a disconnected g they miss a component)."""
+    if g.n < 2:
         return False
     adj = g.masks
     layers = _layers(adj, 0)
@@ -554,10 +555,12 @@ def classify_special(g: LabeledGraph) -> str:
     Checks, in order: star, two-star, complete bipartite, complete bipartite
     with a thorn, triangle with up to three thorns, fan, fan with a thorn at
     one of its centers. Returns the first matching tag, or "none".
+    The guard tests g's connectivity once for every check: removing an end
+    vertex keeps g connected.
     """
     if g.n == 0 or not is_connected(g):
         return "none"
-    if _is_tree(g):
+    if len(g.edges()) == g.n - 1:  # a tree, g being connected
         hubs = [v for v in g.vertices if g.degree(v) > 1]
         if len(hubs) <= 1 and g.n >= 2:
             return "star"

@@ -57,6 +57,8 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from operator import itemgetter
 
 from .algebra import CayleyTable, ZERO_NAME, validate
 from .errors import InputError
@@ -484,13 +486,38 @@ class SearchState:
         self.probes = probe.probes
         return refuted
 
+    @cached_property
+    def zero_cells(self) -> list[tuple[int, itemgetter, int]]:
+        """Per element i > 0: i, a getter of the cells of row i that must be 0
+        (column 0 and N(i)), and their count; built at the first solution."""
+        adj = self.adj
+        return [(i, itemgetter(0, *_bits(adj[i])), adj[i].bit_count() + 1)
+                for i in range(1, self.n)]
+
     def _record_solution(self) -> None:
+        """Check the full table and record it; RuntimeError if it is no witness.
+
+        The table must pass ``validate``, and its zero-divisor graph must be
+        g. Row i > 0 must hold 0 on column 0 and on N(i), may hold 0 at i (a
+        square is no edge), and must hold nonzero values everywhere else. g
+        is connected with at least two vertices, so each element i > 0 has a
+        neighbour and is a vertex: the rows hold this zero pattern exactly
+        when ``zero_divisor_graph(table)`` is g. That graph is built only to
+        describe a failure.
+        """
         n = self.n
         rows = [tuple(self.M[i * n : (i + 1) * n]) for i in range(n)]
         table = CayleyTable(self.names, [self._rows.setdefault(row, row) for row in rows])
         report = validate(table)
-        if not report.ok or not zero_divisor_graph(table).same_graph(self.g):
-            raise RuntimeError("internal invariant violation: bad witness produced")
+        if not report.ok or any(
+            any(zeros(rows[i])) or rows[i].count(0) != count + (rows[i][i] == 0)
+            for i, zeros, count in self.zero_cells
+        ):
+            raise RuntimeError(
+                f"internal invariant violation: bad witness produced ({report}; "
+                f"zero-divisor graph edges {zero_divisor_graph(table).edges()}, "
+                f"expected {self.g.edges()})"
+            )
         self.solutions.append(table)
 
     def _search(self, limit: int | None, budget: int) -> str:

@@ -143,6 +143,22 @@ def test_construction_errors():
         CayleyTable(["0", "a"], [[0, 0]])  # not square
     with pytest.raises(InputError):
         CayleyTable(["0", "a"], [[0, 0], [0, 7]])  # out of range
+    # the cell named is the bad one, not an equal value before it
+    with pytest.raises(InputError, match=r"cell \(1,1\) holds 1\.0"):
+        CayleyTable(["0", "a"], [[0, 0], [1, 1.0]])
+    # a failed name check is not cached: the same names fail again
+    for _ in range(2):
+        with pytest.raises(InputError, match="duplicate"):
+            CayleyTable(["0", "a", "a"], [[0] * 3] * 3)
+
+
+def test_names_that_are_not_strings_are_input_errors():
+    # an unhashable name must not reach the names cache as a TypeError
+    for bad in (5, ["x"], None):
+        with pytest.raises(InputError, match="bad element name"):
+            CayleyTable(["0", bad], [[0, 0], [0, 0]])
+        with pytest.raises(InputError, match="bad element name"):
+            LabeledGraph([bad])
 
 
 def test_names_hold_no_whitespace_character():

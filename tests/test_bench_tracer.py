@@ -71,3 +71,26 @@ def test_traced_acceptance_run_keeps_each_criterion_work_in_its_span(monkeypatch
     assert len(zdg.acceptance.ORACLE_GRAPHS) == 9
     assert parents("acceptance.oracle") == [criterion_span[8]] * 9
     assert parents("search.enumerate") == [criterion_span[8]] * 9
+
+
+def test_traced_enumeration_validates_each_solution_once(monkeypatch):
+    # search.revalidate_calls counts the validate calls made from zdg.search,
+    # so it reads the number of solutions only if each one is validated once
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    star = zdg.LabeledGraph(["c", "l1", "l2", "l3"], [("c", "l1"), ("c", "l2"), ("c", "l3")])
+    tracer = spans.Tracer()
+    try:
+        calls = tracer.install(zdg)
+        tables = calls.enumerate_tables(star).tables
+    finally:
+        tracer.uninstall()
+    assert tables
+    validated = [
+        s for s in tracer.spans
+        if s[spans.NAME] == "algebra.validate" and s[spans.CALLER] == "search"
+    ]
+    assert len(validated) == len(tables)
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["search.revalidate_calls"] == metrics["search.solutions"] == len(tables)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from zdg import graph
 from zdg.acceptance import sweep_specs
 from zdg.algebra import CayleyTable
 from zdg.errors import InputError
@@ -455,6 +456,26 @@ def test_classify_special():
         [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")],
     )
     assert classify_special(k4) == "none"
+
+
+def test_classify_special_tests_connectivity_once(monkeypatch):
+    seen = []
+
+    def counting(g):
+        seen.append(g.n)
+        return is_connected(g)
+
+    monkeypatch.setattr(graph, "is_connected", counting)
+    c4 = LabeledGraph(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+    assert classify_special(c4) == "complete-bipartite"
+    assert seen == [4]
+    # the path left by removing a fan center still has its connectivity tested
+    seen.clear()
+    diamond = LabeledGraph(
+        ["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("a", "c")]
+    )
+    assert classify_special(diamond) == "fan"
+    assert seen == [4, 3, 3]
 
 
 def test_classify_special_ignores_vertex_names(small_connected_graphs):

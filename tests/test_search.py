@@ -648,16 +648,30 @@ def test_record_solution_rejects_a_bad_table():
     # associative, or whose zero-divisor graph is not g, is an internal error
     path = LabeledGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     nonassociative = [[0, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0]]  # a*a = b*b = b
-    null = [[0] * 4 for _ in range(4)]  # associative; its graph is the triangle
+    # the rest are semigroups, so only the zero pattern can reject them
+    null = [[0] * 4 for _ in range(4)]  # its graph is the triangle
+    extra_zero = [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]]  # a*c = 0 only
     names = ("0", "a", "b", "c")
-    assert not validate(CayleyTable(names, nonassociative)).ok
-    assert validate(CayleyTable(names, null)).ok
-    for rows in (nonassociative, null):
-        st = SearchState(path)
+    # a witness for the 4-cycle a-c-b-d-a checked against a-b-c-d-a: every
+    # row has its number of zeros, but the edge a-b has a nonzero product
+    square = LabeledGraph(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+    crossed = LabeledGraph(list("abcd"), [("a", "c"), ("b", "c"), ("b", "d"), ("a", "d")])
+    moved = realize(crossed).witness
+    assert moved.rows[1][2] != 0
+    cases = [(path, nonassociative), (path, null), (path, extra_zero), (square, moved.rows)]
+    for g, rows in cases:
+        assert validate(CayleyTable(("0",) + g.vertices, rows)).ok == (rows is not nonassociative)
+        st = SearchState(g)
         st.M[:] = [x for row in rows for x in row]
         with pytest.raises(RuntimeError, match="bad witness"):
             st._record_solution()
         assert st.solutions == []
+    # a*a = b*b = 0 and a*c = c*c = b: a zero square is no edge, so this is a witness
+    squares_zero = [[0, 0, 0, 0], [0, 0, 0, 2], [0, 0, 0, 0], [0, 2, 0, 2]]
+    st = SearchState(path)
+    st.M[:] = [x for row in squares_zero for x in row]
+    st._record_solution()
+    assert st.solutions == [CayleyTable(names, squares_zero)]
 
 
 def test_witness_replay_never_leaves_domains():
