@@ -191,8 +191,6 @@ def validate(table: CayleyTable) -> ValidationReport:
     report = table._report
     if report is None:
         report = _scan(table)
-        if report.ok:
-            report = _VALID
         object.__setattr__(table, "_report", report)
     return report
 
@@ -201,19 +199,17 @@ def _scan(table: CayleyTable) -> ValidationReport:
     """The checks ``validate`` reports, run on the table's rows.
 
     A commutative table whose 0 absorbs is checked by ``_half_scan``, and a
-    valid table ends there. Any other table, and one that the half scan
+    valid table ends there, with the shared report. Any other table, and one that the half scan
     finds not associative, gets the full scan: for each (i, j) in
     lexicographic order, it compares the products (i*j)*k over all k with
     i*(j*k), read through row j's getter, and looks for the least k only
-    where they differ, so ``first_failure`` is the least failing triple. The
-    one triple of a one-element table always agrees.
+    where they differ, so ``first_failure`` is the least failing triple. A
+    one-element table is valid, and the half scan has no pair to compare.
     """
     rows = table.rows
     n = table.order
     commutative = all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i + 1, n))
     zero_ok = all(rows[0][j] == 0 and rows[j][0] == 0 for j in range(n))
-    if n == 1:
-        return ValidationReport(commutative, zero_ok, True, None)
     if commutative and zero_ok and _half_scan(rows):
         return _VALID
     through = [itemgetter(*row) for row in rows]

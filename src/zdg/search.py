@@ -487,9 +487,9 @@ class SearchState:
         return refuted
 
     @cached_property
-    def zero_cells(self) -> list[tuple[int, itemgetter, int]]:
+    def _zero_cells(self) -> list[tuple[int, itemgetter, int]]:
         """Per element i > 0: i, a getter of the cells of row i that must be 0
-        (column 0 and N(i)), and their count; built at the first solution."""
+        (column 0 and N(i)), and their count. Built at the first solution."""
         adj = self.adj
         return [(i, itemgetter(0, *_bits(adj[i])), adj[i].bit_count() + 1)
                 for i in range(1, self.n)]
@@ -497,13 +497,11 @@ class SearchState:
     def _record_solution(self) -> None:
         """Check the full table and record it; RuntimeError if it is no witness.
 
-        The table must pass ``validate``, and its zero-divisor graph must be
-        g. Row i > 0 must hold 0 on column 0 and on N(i), may hold 0 at i (a
-        square is no edge), and must hold nonzero values everywhere else. g
-        is connected with at least two vertices, so each element i > 0 has a
-        neighbour and is a vertex: the rows hold this zero pattern exactly
-        when ``zero_divisor_graph(table)`` is g. That graph is built only to
-        describe a failure.
+        The table must pass ``validate`` and have g as its zero-divisor graph.
+        g is connected with at least two vertices, so every vertex has a
+        neighbour, and that graph is g exactly when each row i > 0 holds 0 on
+        column 0 and on N(i), may hold 0 at i (a square is no edge), and holds
+        no other 0. The graph itself is built only to describe a failure.
         """
         n = self.n
         rows = [tuple(self.M[i * n : (i + 1) * n]) for i in range(n)]
@@ -511,7 +509,7 @@ class SearchState:
         report = validate(table)
         if not report.ok or any(
             any(zeros(rows[i])) or rows[i].count(0) != count + (rows[i][i] == 0)
-            for i, zeros, count in self.zero_cells
+            for i, zeros, count in self._zero_cells
         ):
             raise RuntimeError(
                 f"internal invariant violation: bad witness produced ({report}; "
