@@ -69,13 +69,8 @@ def _semigroups_up_to_6():
         # left and right zero bands with a zero adjoined: not commutative
         out.append(tuple(tuple(i if i and j else 0 for j in range(n)) for i in range(n)))
         out.append(tuple(tuple(j if i and j else 0 for j in range(n)) for i in range(n)))
-    # the Brandt semigroup B2 on 0, e11, e12, e21, e22: e_ab * e_cd = e_ad if b == c
-    units = [(1, 1), (1, 2), (2, 1), (2, 2)]
-    out.append(tuple(
-        tuple(0 if not (x and y) or units[x - 1][1] != units[y - 1][0]
-              else 1 + units.index((units[x - 1][0], units[y - 1][1])) for y in range(5))
-        for x in range(5)
-    ))
+    # the Brandt semigroup B2 on 0, e11, e12, e21, e22: e_ab * e_cd = e_ad if b == c, else 0
+    out.append(((0, 0, 0, 0, 0), (0, 1, 2, 0, 0), (0, 0, 0, 1, 2), (0, 3, 4, 0, 0), (0, 0, 0, 3, 4)))
     return out
 
 
