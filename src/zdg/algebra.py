@@ -332,11 +332,9 @@ def parse_table_csv(text: str) -> CayleyTable:
                     f"row {i + 1}, column {j + 1}: table is not symmetric at "
                     f"({names[i]},{names[j]})"
                 )
-    for j in range(n):
+    for j in range(n):  # the table is symmetric, so this checks column 0 too
         if rows[0][j] != 0:
             raise InputError(f"row 1, column {j + 1}: zero row must be all 0")
-        if rows[j][0] != 0:
-            raise InputError(f"row {j + 1}, column 1: zero column must be all 0")
     return CayleyTable(names, rows)
 
 

@@ -125,12 +125,12 @@ def generate_graph(spec: FamilySpec) -> LabeledGraph:
 # --- graph surgery ------------------------------------------------------------
 
 
-def fresh_vertex_name(g: LabeledGraph, prefix: str = "w") -> str:
+def fresh_vertex_name(g: LabeledGraph) -> str:
     k = 1
     existing = set(g.vertices)
-    while f"{prefix}{k}" in existing:
+    while f"w{k}" in existing:
         k += 1
-    return f"{prefix}{k}"
+    return f"w{k}"
 
 
 def add_end(g: LabeledGraph, p: str, name: str | None = None) -> LabeledGraph:

@@ -518,35 +518,32 @@ def _conditions(g: LabeledGraph, core_of: tuple | None) -> NecessaryConditionsRe
 # --- family recognizers ------------------------------------------------------
 
 
-def _is_tree(g: LabeledGraph) -> bool:
-    return is_connected(g) and len(g.edges()) == g.n - 1
+def _is_path(adj: Sequence[int], keep: int) -> bool:
+    """Whether ``keep`` induces a path; one vertex is one. Connectivity is tested:
+    a triangle plus an isolated vertex has n - 1 edges and no degree above 2."""
+    sub = [m & keep for m in adj]
+    degrees = [sub[v].bit_count() for v in _bits(keep)]
+    return (keep > 0 and max(degrees) <= 2 and sum(degrees) == 2 * len(degrees) - 2
+            and sum(_layers(sub, (keep & -keep).bit_length() - 1)) == keep)
 
 
-def _is_path(g: LabeledGraph) -> bool:
-    if g.n == 1:
-        return True
-    return _is_tree(g) and all(g.degree(v) <= 2 for v in g.vertices)
-
-
-def _is_complete_bipartite(g: LabeledGraph) -> bool:
-    """Whether the connected graph g is complete bipartite, read off the
-    parity of the BFS layers (on a disconnected g they miss a component)."""
-    if g.n < 2:
+def _is_complete_bipartite(adj: Sequence[int], keep: int) -> bool:
+    """Whether the connected graph induced by ``keep`` is complete bipartite,
+    read off the parity of the BFS layers (on a disconnected one they miss a
+    component)."""
+    if keep.bit_count() < 2:
         return False
-    adj = g.masks
-    layers = _layers(adj, 0)
+    sub = [m & keep for m in adj]
+    layers = _layers(sub, (keep & -keep).bit_length() - 1)
     even, odd = sum(layers[0::2]), sum(layers[1::2])
-    return all(adj[v] == odd for v in _bits(even)) and all(adj[v] == even for v in _bits(odd))
+    return all(sub[v] == odd for v in _bits(even)) and all(sub[v] == even for v in _bits(odd))
 
 
-def _fan_centers(g: LabeledGraph) -> list[str]:
-    """Every vertex adjacent to all others whose removal leaves a path."""
-    return [c for c in g.vertices if g.degree(c) == g.n - 1 and _is_path(_without_vertex(g, c))]
-
-
-def _without_vertex(g: LabeledGraph, v: str) -> LabeledGraph:
-    rest = [x for x in g.vertices if x != v]
-    return LabeledGraph(rest, [(x, y) for x, y in g.edges() if v not in (x, y)])
+def _fan_centers(adj: Sequence[int], keep: int) -> int:
+    """Mask of the vertices of ``keep`` adjacent to all others of ``keep``
+    whose removal leaves a path."""
+    return sum(1 << c for c in _bits(keep)
+               if adj[c] & keep == keep ^ 1 << c and _is_path(adj, keep ^ 1 << c))
 
 
 def classify_special(g: LabeledGraph) -> str:
@@ -555,35 +552,35 @@ def classify_special(g: LabeledGraph) -> str:
     Checks, in order: star, two-star, complete bipartite, complete bipartite
     with a thorn, triangle with up to three thorns, fan, fan with a thorn at
     one of its centers. Returns the first matching tag, or "none".
-    The guard tests g's connectivity once for every check: removing an end
-    vertex keeps g connected.
+    A subgraph is the mask of the vertices it keeps. The guard tests g's
+    connectivity once for every check: removing an end vertex keeps g
+    connected, and every vertex of a connected g with n >= 2 has degree >= 1.
     """
     if g.n == 0 or not is_connected(g):
         return "none"
-    if len(g.edges()) == g.n - 1:  # a tree, g being connected
-        hubs = [v for v in g.vertices if g.degree(v) > 1]
+    adj, everyone = g.masks, (1 << g.n) - 1
+    degrees = [m.bit_count() for m in adj]
+    ends = [v for v in range(g.n) if degrees[v] == 1]
+    if sum(degrees) == 2 * g.n - 2:  # a tree, g being connected
+        hubs = [v for v in range(g.n) if degrees[v] > 1]
         if len(hubs) <= 1 and g.n >= 2:
             return "star"
-        if len(hubs) == 2 and g.has_edge(*hubs):
+        if len(hubs) == 2 and adj[hubs[0]] >> hubs[1] & 1:
             return "two-star"
-    if _is_complete_bipartite(g):
+    if _is_complete_bipartite(adj, everyone):
         return "complete-bipartite"
-    if any(_is_complete_bipartite(_without_vertex(g, w)) for w in g.end_vertices()):
+    if any(_is_complete_bipartite(adj, everyone ^ 1 << w) for w in ends):
         return "complete-bipartite-with-thorn"
-    hubs = sorted(v for v in g.vertices if g.degree(v) >= 2)
-    if 3 <= g.n <= 6 and len(hubs) == 3:
-        a, b, c = hubs
-        if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c):
-            thorns = [v for v in g.vertices if v not in hubs]
-            if all(g.degree(v) == 1 for v in thorns) and all(
-                len([t for t in thorns if g.has_edge(t, h)]) <= 1 for h in hubs
-            ):
-                return f"triangle-{len(thorns)}-thorns"
-    if _fan_centers(g):
+    hubs = sum(1 << v for v in range(g.n) if degrees[v] >= 2)
+    if 3 <= g.n <= 6 and hubs.bit_count() == 3:
+        thorns = everyone ^ hubs  # end vertices, g being connected
+        if all(adj[h] & hubs == hubs ^ 1 << h and (adj[h] & thorns).bit_count() <= 1
+               for h in _bits(hubs)):
+            return f"triangle-{g.n - 3}-thorns"
+    if _fan_centers(adj, everyone):
         return "fan"
-    for w in g.end_vertices():
-        if any(g.has_edge(w, c) for c in _fan_centers(_without_vertex(g, w))):
-            return "fan-with-thorn"
+    if any(adj[w] & _fan_centers(adj, everyone ^ 1 << w) for w in ends):
+        return "fan-with-thorn"
     return "none"
 
 
@@ -595,42 +592,34 @@ def isomorphisms(g1: LabeledGraph, g2: LabeledGraph) -> Iterator[dict[str, str]]
 
     Meant for the small graphs this package deals in; refuses anything with
     more than 16 vertices. ``isomorphisms(g, g)`` lists the automorphisms.
+    v may map to an unused w when w's mapped neighbours are the images of v's.
     """
     if g1.n > ISO_VERTEX_LIMIT or g2.n > ISO_VERTEX_LIMIT:
         raise InputError(f"isomorphism search is limited to {ISO_VERTEX_LIMIT} vertices")
-    if g1.n != g2.n or len(g1.edges()) != len(g2.edges()):
+    adj1, adj2 = g1.masks, g2.masks
+
+    def signatures(adj: Sequence[int]) -> list[tuple]:
+        return [(m.bit_count(), tuple(sorted(adj[u].bit_count() for u in _bits(m)))) for m in adj]
+
+    sig1, sig2 = signatures(adj1), signatures(adj2)
+    if sorted(sig1) != sorted(sig2):  # equal signatures mean equal order and size
         return
+    order = sorted(range(g1.n), key=lambda v: (-sig1[v][0], g1.vertices[v]))
+    candidates = [[w for w in range(g2.n) if sig2[w] == sig1[v]] for v in order]
+    image = [0] * g1.n  # image[v]: the bit of v's image, for v mapped so far
 
-    def signature(g: LabeledGraph, v: str) -> tuple:
-        return (g.degree(v), tuple(sorted(g.degree(w) for w in g.neighbors(v))))
-
-    sig1 = {v: signature(g1, v) for v in g1.vertices}
-    sig2 = {v: signature(g2, v) for v in g2.vertices}
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return
-    order = sorted(g1.vertices, key=lambda v: (-g1.degree(v), v))
-    candidates = {
-        v: [w for w in g2.vertices if sig2[w] == sig1[v]] for v in order
-    }
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def extend(i: int) -> Iterator[dict[str, str]]:
+    def extend(i: int, mapped: int, used: int) -> Iterator[dict[str, str]]:
         if i == len(order):
-            yield dict(mapping)
+            yield {g1.vertices[v]: g2.vertices[image[v].bit_length() - 1] for v in order}
             return
         v = order[i]
-        for w in candidates[v]:
-            if w in used:
-                continue
-            if all(g1.has_edge(v, u) == g2.has_edge(w, mapping[u]) for u in mapping):
-                mapping[v] = w
-                used.add(w)
-                yield from extend(i + 1)
-                del mapping[v]
-                used.remove(w)
+        want = sum(image[u] for u in _bits(adj1[v] & mapped))
+        for w in candidates[i]:
+            if not used >> w & 1 and adj2[w] & used == want:
+                image[v] = 1 << w
+                yield from extend(i + 1, mapped | 1 << v, used | 1 << w)
 
-    yield from extend(0)
+    yield from extend(0, 0, 0)
 
 
 def is_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
@@ -701,8 +690,8 @@ def _dot_id(name: str) -> str:
 def emit_dot(g: LabeledGraph) -> str:
     """DOT rendering of the graph; output only, never parsed back."""
     lines = ["graph G {"]
-    for v in g.vertices:
-        if g.degree(v) == 0:
+    for v, m in zip(g.vertices, g.masks):
+        if not m:
             lines.append(f"  {_dot_id(v)};")
     for x, y in g.edges():
         lines.append(f"  {_dot_id(x)} -- {_dot_id(y)};")

@@ -292,8 +292,6 @@ class SearchState:
     def _prune(self, cid: int, keep: int, reason: tuple) -> bool:
         mask = self.domains[cid]
         removed = mask & ~keep
-        if not removed:
-            return True
         new = mask & keep
         self.domains[cid] = new
         if self.M[cid] == UNKNOWN:

@@ -83,18 +83,17 @@ def _lift(idx: list[int], mask: int) -> int:
     return sum(1 << idx[v] for v in _bits(mask))
 
 
-def _witness_claims(layout: tuple, a: int, b: int, s: int, z: int) -> list[ClaimCheck]:
-    """Thm 2.4's five claims, then Thm 2.6, then Prop 2.8, on the witness (a, b, s, z).
+def _witness_claims(layout: tuple, a: int, b: int, caps: list[int], far: list[int]) -> list[ClaimCheck]:
+    """Thm 2.4's five claims, then Thm 2.6, then Prop 2.8, on the witnesses of the edge (a, b).
 
-    a, b, s, z are vertex positions in ``layout``, ``_layout``'s view of the
-    table. A vertex is internal if it has degree > 1 and no end neighbour.
+    a, b are vertex positions in ``layout``, ``_layout``'s view of the table,
+    and ``caps`` and ``far`` the edge's C(a,b) and L as ``_witness_edges``
+    lists them. A vertex is internal if it has degree > 1 and no end neighbour.
     """
     names, rows, prods, g, ends, idx = layout
     masks, vn = g.masks, g.vertices
     everything = (1 << len(names)) - 1
-    ab = 1 << a | 1 << b
-    caps = sum(1 << v for v, m in enumerate(masks) if m == ab)
-    subject = f"witness=({vn[a]},{vn[b]},{vn[s]},{vn[z]})"
+    subject = f"witness=({vn[a]},{vn[b]},{vn[caps[0]]},{vn[far[0]]})"
     t_a, t_b = masks[a] & ends, masks[b] & ends
     a_internal = masks[a].bit_count() > 1 and not t_a
     b_internal = masks[b].bit_count() > 1 and not t_b
@@ -102,8 +101,8 @@ def _witness_claims(layout: tuple, a: int, b: int, s: int, z: int) -> list[Claim
     # Thm 2.4 case 2 and Thm 2.6 share one hypothesis
     roles = a_internal and not b_internal and b_square
     roles_why = "needs a internal, b not internal, b^2 != 0"
-    outside_caps = everything & ~_lift(idx, caps)
-    l_set = _lift(idx, _layers(masks, s)[3])  # L, the distance-3 layer of s
+    outside_caps = everything & ~sum(1 << idx[c] for c in caps)
+    l_set = sum(1 << idx[z] for z in far)
     a0, b0 = 1 | 1 << idx[a], 1 | 1 << idx[b]
     complement = outside_caps & ~_lift(idx, t_a | t_b)
     checks = [
@@ -121,11 +120,8 @@ def _witness_claims(layout: tuple, a: int, b: int, s: int, z: int) -> list[Claim
                if roles else roles_why),
     ]
     if a_internal and (b_internal or (b_square and t_b.bit_count() == 1)):
-        found = next(
-            (c for c in sorted(_bits(caps), key=vn.__getitem__)
-             if _escape(rows, prods, outside_caps | 1 << idx[c], outside_caps | 1 << idx[c]) is None),
-            None,
-        )
+        found = next((c for c in caps if _escape(rows, prods, outside_caps | 1 << idx[c],
+                                                  outside_caps | 1 << idx[c]) is None), None)
         detail = "no cap works" if found is None else f"c={vn[found]}"
         checks.append(ClaimCheck("prop_2_8", subject, True, found is not None, detail))
     else:
@@ -171,7 +167,7 @@ def _claims(table: CayleyTable) -> list[ClaimCheck]:
                              else f"{vn[b]} is an end vertex" if t_b else "T_b empty"))
     edges = _witness_edges(g)
     for a, b, caps, far in edges:
-        claims = _witness_claims(layout, a, b, caps[0], far[0])
+        claims = _witness_claims(layout, a, b, caps, far)
         checks += claims
         for subject in [f"witness=({vn[a]},{vn[b]},{vn[s]},{vn[z]})" for s in caps for z in far][1:]:
             checks += [ClaimCheck(claim, subject, applicable, holds, detail)

@@ -35,6 +35,10 @@ def test_gen_then_verify_round_trip(tmp_path, capsys, table3):
     code, out, _ = run(capsys, "verify", str(table_path))
     assert code == 0
     assert "associative: yes" in out
+    table_path.write_text("*,0,a,b\n0,0,0,0\na,0,b,0\nb,0,0,b\n")
+    code, out, _ = run(capsys, "verify", str(table_path))
+    assert code == 1
+    assert "first-failure: (a*a)*b = b but a*(a*b) = 0" in out
 
 
 def test_gen_graph_stdout(capsys):
@@ -151,6 +155,9 @@ def test_enumerate_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "enumerate", str(graph_path))
     assert code == 0
     assert "solutions: 14" in out and "exhaustive: yes" in out
+    code, out, _ = run(capsys, "enumerate", str(graph_path), "--budget", "1")
+    assert code == 2
+    assert "exhaustive: no" in out
 
 
 def test_realize_only_and_removed_flags_rejected(tmp_path, capsys):
@@ -214,6 +221,25 @@ core-on-triangles-or-squares: no
 pendants-attached-to-core: yes
 necessary-conditions: connected=pass core=fail cover=fail
 witness-count: 0
+classification: none
+"""),
+    # a triangle with a pendant path: B-vertex v4 breaks both observations
+    "triangle-with-path": ("v1 v2 v3 v4 v5\nv1 v2\nv2 v3\nv1 v3\nv3 v4\nv4 v5\n", """\
+vertices: v1 v2 v3 v4 v5
+edges: v1-v2 v1-v3 v2-v3 v3-v4 v4-v5
+connected: yes
+diameter: 3
+core-vertices: {v1,v2,v3}
+core-edges: v1-v2 v1-v3 v2-v3
+pendant-vertices: {v4,v5}
+core-on-triangles-or-squares: yes
+pendants-attached-to-core: no
+necessary-conditions: connected=pass core=fail cover=fail
+witness-count: 4
+witness: (v1,v3,v2,v5)
+partition[(v1,v3,v2,v5)]: ab={v1,v3} C={v2} B={v4} L={v5} Ta={} Tb={} B1={v4} B2={}
+partition-violation: B-vertex v4 has an L-neighbor but is not adjacent to both v1 and v3
+partition-violation: B1-vertex v4 has no neighbor inside B
 classification: none
 """),
 }

@@ -469,13 +469,19 @@ def test_classify_special_tests_connectivity_once(monkeypatch):
     c4 = LabeledGraph(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
     assert classify_special(c4) == "complete-bipartite"
     assert seen == [4]
-    # the path left by removing a fan center still has its connectivity tested
     seen.clear()
     diamond = LabeledGraph(
         ["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("a", "c")]
     )
     assert classify_special(diamond) == "fan"
-    assert seen == [4, 3, 3]
+    assert seen == [4]
+    # the path left by removing a fan center still has its connectivity
+    # tested: without c, x-y-z is a triangle and w is isolated, which has
+    # n - 1 edges and no degree above 2 but is no path
+    cone = LabeledGraph(
+        list("cxyzw"), [("c", v) for v in "xyzw"] + [("x", "y"), ("y", "z"), ("x", "z")]
+    )
+    assert classify_special(cone) == "none"
 
 
 def test_classify_special_ignores_vertex_names(small_connected_graphs):
@@ -506,6 +512,10 @@ def test_isomorphism():
         f4.degree(v) for v in f4.vertices
     )
     assert not is_isomorphic(f3, f4)
+    # same order and size; only the degree signatures tell them apart
+    p4 = LabeledGraph(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d")])
+    k13 = LabeledGraph(list("abcd"), [("a", "b"), ("a", "c"), ("a", "d")])
+    assert not is_isomorphic(p4, k13)
 
 
 def test_isomorphism_size_limit():

@@ -162,6 +162,11 @@ def test_propagate_same_value_is_noop():
     before = len(st.trail)
     assert propagate(st, ("d", "u1"), v)
     assert len(st.trail) == before
+    # a known cell set to another value is a contradiction
+    st = init_domains(fig("fig3", m=1, n=1, u=0, v=1))
+    assert st.value_of("a", "v1") == "a"
+    assert not propagate(st, ("a", "v1"), "d")
+    assert st.contradiction == "cell (a,v1) is a but must also be d"
 
 
 def test_propagate_on_a_refuted_state_fails_at_once():
@@ -193,6 +198,8 @@ def test_propagate_unknown_names():
     st = init_domains(K2)
     with pytest.raises(InputError):
         propagate(st, ("a", "zzz"), "a")
+    with pytest.raises(InputError, match="unknown element 'q'"):
+        propagate(st, ("a", "b"), "q")
 
 
 # --- realize -----------------------------------------------------------------------

@@ -7,7 +7,7 @@ from zdg.acceptance import GOLDEN, load_golden_table, sweep_specs
 from zdg.algebra import CayleyTable
 from zdg.errors import InputError
 from zdg.families import FamilySpec, generate_table
-from zdg.graph import delta_witnesses, zero_divisor_graph
+from zdg.graph import _layers, _witness_edges, zero_divisor_graph
 from zdg.search import enumerate_tables
 from zdg.theorems import ClaimCheck, TheoremReport, _claims, _layout, _witness_claims, run_all
 
@@ -289,19 +289,25 @@ CLAIM thm_2_6 vacuous - no witness
 
 def test_run_all_shares_witness_claims_like_the_checkers(golden_and_sweep):
     # run_all checks each witness edge (a, b) once and gives every witness
-    # (a, b, s, z) on it the same seven checks; each witness's checks must
-    # be what _witness_claims gives for that witness alone
+    # (a, b, s, z) on it the same seven checks: what _witness_claims gives
+    # for the edge, with only the subject changed. L is shared because every
+    # cap s has the same distance-3 layer, the mask of far.
     witnesses = 0
     for t in golden_and_sweep:
         by_subject = defaultdict(list)
         for c in run_all(t).checks:
             by_subject[c.subject].append(c)
         g = zero_divisor_graph(t)
-        ws = delta_witnesses(g)
-        layout = _layout(t, g)
-        assert sum(len(v) for k, v in by_subject.items() if k.startswith("witness=")) == 7 * len(ws)
-        for w in ws:
-            own = _witness_claims(layout, *(g.check_vertex(v) for v in (w.a, w.b, w.s, w.z)))
-            assert by_subject[f"witness=({w.a},{w.b},{w.s},{w.z})"] == own
-        witnesses += len(ws)
+        layout, vn = _layout(t, g), g.vertices
+        ws = 0
+        for a, b, caps, far in _witness_edges(g):
+            own = _witness_claims(layout, a, b, caps, far)
+            for s in caps:
+                assert _layers(g.masks, s)[3] == sum(1 << z for z in far)
+                for z in far:
+                    subject = f"witness=({vn[a]},{vn[b]},{vn[s]},{vn[z]})"
+                    assert by_subject[subject] == [c._replace(subject=subject) for c in own]
+                    ws += 1
+        assert sum(len(v) for k, v in by_subject.items() if k.startswith("witness=")) == 7 * ws
+        witnesses += ws
     assert witnesses == 1680
