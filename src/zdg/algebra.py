@@ -83,15 +83,17 @@ class CayleyTable:
     immutable, a table may share its row tuples with other tables; the
     tables one search records do. Copying and pickling rebuild the table
     through the constructor, so every input check runs again and no report
-    travels with the copy.
+    or graph travels with the copy.
 
     ``_report`` holds the table's :class:`ValidationReport` once
-    :func:`validate` has run on it. The table cannot change after it is
-    built, so the report cannot go stale; ``with_cell`` and every other
-    derived table is a new object that starts without one.
+    :func:`validate` has run on it, and ``_graph`` its zero-divisor graph
+    once :func:`zdg.graph.zero_divisor_graph` has built it. Neither the
+    table nor the graph can change after it is built, so neither can go
+    stale; ``with_cell`` and every other derived table is a new object that
+    starts without them.
     """
 
-    __slots__ = ("names", "rows", "_report")
+    __slots__ = ("names", "rows", "_report", "_graph")
 
     def __init__(self, names: Sequence[str], rows: Sequence[Sequence[int]]):
         names = tuple(names)
@@ -119,6 +121,7 @@ class CayleyTable:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "rows", tuple(packed))
         object.__setattr__(self, "_report", None)
+        object.__setattr__(self, "_graph", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CayleyTable is immutable")

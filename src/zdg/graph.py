@@ -135,7 +135,13 @@ def zero_divisor_graph(table: CayleyTable) -> LabeledGraph:
     (possibly itself); distinct vertices are joined iff their product is 0.
     A self-annihilating element with no distinct partner shows up as an
     isolated vertex; see :func:`isolated_vertices`.
+
+    The graph is built once per table, on the first call; it is kept on the
+    table and returned by every later call.
     """
+    g = table._graph
+    if g is not None:
+        return g
     names, rows = table.names, table.rows
     verts = [i for i in range(1, table.order) if 0 in rows[i][1:]]
     edges = [
@@ -144,7 +150,9 @@ def zero_divisor_graph(table: CayleyTable) -> LabeledGraph:
         for j in verts[k + 1 :]
         if rows[i][j] == 0
     ]
-    return LabeledGraph([names[i] for i in verts], edges)
+    g = LabeledGraph([names[i] for i in verts], edges)
+    object.__setattr__(table, "_graph", g)
+    return g
 
 
 def isolated_vertices(g: LabeledGraph) -> set[str]:

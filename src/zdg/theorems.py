@@ -1,10 +1,11 @@
 """Executable checks of the paper's structure theorems on a validated table.
 
-``_claims`` builds the table's zero-divisor graph once and decides every claim
-on vertex positions, neighbourhood bitmasks and the table's rows: a subset is
-a mask of element indices, an ideal test reads each member row's product mask
-and a closure test walks the members' set bits. Names are read only to format
-a claim's subject and detail. An inapplicable claim is reported vacuous; an
+``_claims`` reads the table's zero-divisor graph, which ``zero_divisor_graph``
+builds once per table and keeps on it, and decides every claim on vertex
+positions, neighbourhood bitmasks and the table's rows: a subset is a mask of
+element indices, an ideal test reads each member row's product mask and a
+closure test walks the members' set bits. Names are read only to format a
+claim's subject and detail. An inapplicable claim is reported vacuous; an
 applicable one that fails on a valid table would mean a bug, or a
 counterexample to the mathematics, which the corpus sweep exists to rule out.
 """

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 import sys
 
 import pytest
@@ -13,6 +14,7 @@ from zdg.graph import (
     LabeledGraph,
     _covering,
     diameter,
+    isomorphisms,
     necessary_conditions,
     relabel_table,
     zero_divisor_graph,
@@ -589,6 +591,54 @@ def test_enumerate_lists_twin_swapped_tables():
     res = enumerate_tables(C4_WITH_END)
     assert res.exhaustive
     assert len(res.tables) == 14
+
+
+def _generating_automorphisms(g):
+    """Automorphisms of g from isomorphisms(g, g), each kept only when the
+    group generated by those kept before it lacks it."""
+    group = {g.vertices}  # each element as the images of g.vertices
+    kept = []
+    for sigma in isomorphisms(g, g):
+        if tuple(sigma[v] for v in g.vertices) in group:
+            continue
+        kept.append(sigma)
+        frontier = list(group)
+        while frontier:
+            images = {tuple(s[v] for v in p) for p in frontier for s in kept}
+            frontier = list(images - group)
+            group |= images
+    return kept
+
+
+def _products(table):
+    """A table as the set of its products x*y = v, by element name."""
+    names = table.names
+    return frozenset(
+        (x, y, names[v]) for x, row in zip(names, table.rows) for y, v in zip(names, row)
+    )
+
+
+def test_enumeration_closed_under_aut_and_vertex_order(bench_graphs):
+    # a table lost in a way that depends on the labels or on the order of
+    # work breaks one of these: the tables of G are closed under Aut(G), and
+    # enumerating G with its vertices reordered gives the same tables
+    rng = random.Random(20)
+    realizable = tables = generators = 0
+    for g in bench_graphs[5]:
+        found = enumerate_tables(g).tables
+        if not found:
+            continue
+        realizable += 1
+        tables += len(found)
+        rows = {t.rows for t in found}
+        for sigma in _generating_automorphisms(g):
+            generators += 1
+            assert {relabel_table(t, sigma).rows for t in found} == rows, (g.edges(), sigma)
+        order = list(g.vertices)
+        rng.shuffle(order)
+        reordered = enumerate_tables(LabeledGraph(order, g.edges())).tables
+        assert {_products(t) for t in reordered} == {_products(t) for t in found}, g.edges()
+    assert (realizable, tables, generators) == (18, 6414, 36)
 
 
 def test_lemma21_flag_agrees_on_answers(monkeypatch):

@@ -1,4 +1,4 @@
-"""How tables are stored: shared rows, no index by name, copy and pickle."""
+"""How tables are stored: shared rows, no index by name, the kept graph, copy and pickle."""
 import copy
 import gc
 import pickle
@@ -6,6 +6,8 @@ import tracemalloc
 
 import pytest
 
+from zdg import acceptance
+from zdg.acceptance import Corpus, criterion_1, criterion_2, criterion_10
 from zdg.algebra import CayleyTable, validate
 from zdg.errors import InputError
 from zdg.graph import LabeledGraph, zero_divisor_graph
@@ -34,6 +36,8 @@ def test_enumerated_tables_retain_little_memory():
     finally:
         tracemalloc.stop()
     assert len(tables) == 2804
+    # the search checks each solution on its rows and keeps no graph on it
+    assert all(t._graph is None for t in tables)
     assert retained / len(tables) <= 300
 
 
@@ -52,13 +56,42 @@ def test_index_rejects_unknown_and_unhashable_names(table6):
 
 def test_witness_survives_copy_and_pickle(fig3_graph):
     witness = realize(fig3_graph).witness
-    assert validate(witness).ok
+    assert validate(witness).ok  # the report and the graph the copies must not carry
+    assert zero_divisor_graph(witness).same_graph(fig3_graph)
     for again in _round_trips(witness):
         assert again == witness and again is not witness
         assert again.names == witness.names and again.rows == witness.rows
         assert again._report is None  # rebuilt through the constructor
+        assert again._graph is None
         assert validate(again).ok
         assert zero_divisor_graph(again).same_graph(fig3_graph)
+
+
+def test_table_keeps_its_graph(table6, monkeypatch):
+    t = CayleyTable(table6.names, table6.rows)
+    g = zero_divisor_graph(t)
+    assert t._graph is g and zero_divisor_graph(t) is g
+    other = t.with_cell("a", "a", "0")
+    assert other._graph is None
+    # criteria 1 and 2 build the graphs of the 5 golden and 247 sweep tables,
+    # and criterion 10 reads those graphs instead of building them again
+    corpus = Corpus()
+    assert criterion_1(corpus)[0] and criterion_2(corpus)[0]
+    tables = [*corpus.golden.values(), *corpus.sweep_tables]
+    assert len(tables) == 5 + 247
+    kept = [t._graph for t in tables]
+    for t, g in zip(tables, kept):
+        assert g is not None and g.same_graph(zero_divisor_graph(CayleyTable(t.names, t.rows)))
+    returned = {}
+
+    def spy(table):
+        g = zero_divisor_graph(table)
+        returned[id(table)] = g
+        return g
+
+    monkeypatch.setattr(acceptance, "zero_divisor_graph", spy)
+    assert criterion_10(corpus)[0]
+    assert all(returned[id(t)] is g and t._graph is g for t, g in zip(tables, kept))
 
 
 def test_graph_survives_copy_and_pickle(fig3_graph):
