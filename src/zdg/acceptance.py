@@ -18,10 +18,9 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .algebra import CayleyTable, ZERO_NAME, parse_table_csv, same_products, validate
 from .errors import InputError
@@ -46,8 +45,7 @@ GOLDEN = {
 }
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool

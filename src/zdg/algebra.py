@@ -8,10 +8,9 @@ structurally, so defective tables can be represented and reported on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 
@@ -45,8 +44,7 @@ def _check_names(names: tuple[str, ...]) -> None:
         seen.add(name)
 
 
-@dataclass(frozen=True)
-class AssociativityFailure:
+class AssociativityFailure(NamedTuple):
     """A triple (i, j, k) with (i*j)*k != i*(j*k), with both evaluated products."""
 
     i: int
@@ -63,8 +61,7 @@ class AssociativityFailure:
         )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     commutative: bool
     zero_ok: bool
     associative: bool

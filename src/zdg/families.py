@@ -29,7 +29,7 @@ shipped.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .algebra import CayleyTable, ZERO_NAME, validate
 from .errors import InputError
@@ -46,7 +46,12 @@ FAMILIES = tuple(_PARAMETERS)
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family id plus its integer parameters (unused ones must stay 0)."""
+    """A family id plus its integer parameters (unused ones must stay 0).
+
+    A dataclass, unlike the result records: ``__post_init__`` checks every
+    construction, ``dataclasses.replace`` included, which a NamedTuple's
+    ``_make`` and ``_replace`` would skip.
+    """
 
     family: str
     m: int = 0
@@ -162,8 +167,7 @@ def add_edge(g: LabeledGraph, p: str, q: str) -> LabeledGraph:
 _0 = ZERO_NAME
 
 
-@dataclass(frozen=True)
-class Operand:
+class Operand(NamedTuple):
     """Rule result: whichever operand has this kind."""
 
     kind: str

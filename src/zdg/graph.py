@@ -10,9 +10,8 @@ mapping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import CayleyTable, ZERO_NAME, _check_name
 from .errors import InputError
@@ -234,8 +233,7 @@ def is_connected(g: LabeledGraph) -> bool:
 # --- core (union of the cycles) --------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoreDecomposition:
+class CoreDecomposition(NamedTuple):
     core_edges: frozenset[tuple[str, str]]
     core_vertices: frozenset[str]
     pendant_vertices: frozenset[str]
@@ -333,8 +331,7 @@ def t_set(g: LabeledGraph, a: str) -> set[str]:
     return {g.vertices[z] for z in _bits(masks[g.check_vertex(a)]) if masks[z].bit_count() == 1}
 
 
-@dataclass(frozen=True)
-class DeltaWitness:
+class DeltaWitness(NamedTuple):
     """Adjacent a,b plus s in C(a,b) and z at distance exactly 3 from s."""
 
     a: str
@@ -376,8 +373,7 @@ def delta_witnesses(g: LabeledGraph) -> list[DeltaWitness]:
             for a, b, caps, far in _witness_edges(g) for s in caps for z in far]
 
 
-@dataclass(frozen=True)
-class StructurePartition:
+class StructurePartition(NamedTuple):
     """The split {a,b} | C(a,b) | B | L of the vertex set around a witness."""
 
     ab: frozenset[str]
@@ -447,8 +443,7 @@ def partition(g: LabeledGraph, w: DeltaWitness) -> StructurePartition:
 # --- necessary conditions ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NecessaryConditionsReport:
+class NecessaryConditionsReport(NamedTuple):
     """The three pre-checks every realizable graph must pass.
 
     Passing all three does not imply realizability; failing any one certifies

@@ -55,10 +55,10 @@ from __future__ import annotations
 import time
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import itemgetter
+from typing import NamedTuple
 
 from .algebra import CayleyTable, ZERO_NAME, validate
 from .errors import InputError
@@ -86,8 +86,7 @@ class Outcome(Enum):
     BUDGET_EXCEEDED = "budget-exceeded"
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     nodes: int
     forced: int
     max_depth: int
@@ -95,8 +94,7 @@ class SearchStats:
     probes: int = 0  # probe assignments tried, refuting or not
 
 
-@dataclass(frozen=True)
-class RealizationOutcome:
+class RealizationOutcome(NamedTuple):
     tag: Outcome
     witness: CayleyTable | None
     stats: SearchStats
@@ -104,8 +102,7 @@ class RealizationOutcome:
     chain: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     tables: tuple[CayleyTable, ...]
     exhaustive: bool
     stats: SearchStats

@@ -12,7 +12,6 @@ counterexample to the mathematics, which the corpus sweep exists to rule out.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algebra import CayleyTable, _escape, validate
@@ -40,8 +39,7 @@ class ClaimCheck(NamedTuple):
         return f"CLAIM {self.claim}{subject} {status} {verdict}{tail}"
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     checks: tuple[ClaimCheck, ...]
 
     def failures(self) -> tuple[ClaimCheck, ...]:

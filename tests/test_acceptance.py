@@ -25,11 +25,12 @@ from zdg.acceptance import (
     criterion_5_parts,
     run_acceptance,
 )
-from zdg.algebra import validate
+from zdg.algebra import same_products, validate
 from zdg.errors import InputError
 from zdg.families import FamilySpec, add_end, generate_graph, generate_table
 from zdg.graph import relabel_table, zero_divisor_graph
 from zdg.search import Outcome, realize
+from zdg.theorems import ClaimCheck, TheoremReport
 
 
 @pytest.fixture(scope="module")
@@ -228,3 +229,85 @@ def test_criterion_09_theorem_sweep(results):
 def test_criterion_10_prescreen_sound_but_insufficient(results):
     r = _report(results[10])
     assert r.passed, r.detail
+
+
+def _after(change):
+    """A fault that changes what the real function returns."""
+    return lambda real: lambda *args: change(real(*args))
+
+
+def _flip(out):
+    other = Outcome.UNREALIZABLE if out.tag == Outcome.REALIZED else Outcome.REALIZED
+    return out._replace(tag=other)
+
+
+def _uncertified(out):
+    # an unrealizable verdict that neither the search nor the pre-screen gave
+    return out._replace(tag=Outcome.UNREALIZABLE, witness=None, reason="planted")
+
+
+def _without_fixture(res):
+    fixture = acceptance.load_golden_table("kn2_4")
+    return res._replace(tables=tuple(t for t in res.tables if not same_products(t, fixture)))
+
+
+def _not_exhaustive(res):
+    return res._replace(exhaustive=False)
+
+
+FAULTS = {
+    # id: (criterion, the name it reads, fault made from the real one, detail)
+    # Criterion 4 lists all 36 searches; its detail is pinned by its start.
+    "c1-golden-cell": (1, "load_golden_table", lambda real: lambda name: (
+        real(name).with_cell("a", "b", "a") if name == "kn2_4" else real(name)),
+        "kn2_4 fails validation; kn2_4 graph mismatch; kn2_4 generator not verbatim"),
+    "c3-flipped": (3, "realize", _after(_flip),
+                   "fig3(1,1,0,1)+end(b): got realized; fig3(1,1,0,1)+cap(b,d): got realized"),
+    "c3-uncertified": (3, "realize", _after(_uncertified),
+                       "fig3(1,1,0,1)+end(b): not by the search (planted); "
+                       "fig3(1,1,0,1)+cap(b,d): not by the search (planted)"),
+    "c4-flipped": (4, "realize", _after(_flip),
+                   "fig4(1,0,0,1): expected realized, got unrealizable; "
+                   "fig4(1,0,0,2): expected realized, got unrealizable; "),
+    "c5-parts-hold": (5, "criterion_5_parts",
+                      _after(lambda parts: {key: (True, v) for key, (_, v) in parts.items()}),
+                      "all parts as stated"),
+    "c6-flipped": (6, "realize", _after(_flip),
+                   "kn2(4)+cap(a,b): expected unrealizable, got realized; "
+                   "kn2(4)+cap(a,x1): expected unrealizable, got realized; "
+                   "kn2(4)+cap(x1,x2): expected realized, got unrealizable; "
+                   "kn2(4)+2caps(x1,x2): expected realized, got unrealizable"),
+    "c6-uncertified": (6, "realize", _after(_uncertified),
+                       "kn2(4)+cap(a,b): unrealizable but not certified (planted); "
+                       "kn2(4)+cap(a,x1): unrealizable but not certified (planted); "
+                       "kn2(4)+cap(x1,x2): expected realized, got unrealizable; "
+                       "kn2(4)+2caps(x1,x2): expected realized, got unrealizable"),
+    "c7-no-fixture": (7, "enumerate_tables", _after(_without_fixture),
+                      "1 labeled tables, every one a graph-automorphism relabeling of the "
+                      "fixture (unique up to relabeling); fixture itself found: False"),
+    "c7-not-exhaustive": (7, "enumerate_tables", _after(_not_exhaustive),
+                          "enumeration did not exhaust the tree"),
+    "c8-oracle-short": (8, "brute_force_realizations", _after(lambda sols: set(sorted(sols)[1:])),
+                        "K2: engine found 6 solutions, oracle 5"),
+    "c8-not-exhaustive": (8, "enumerate_tables", _after(_not_exhaustive),
+                          "K2: enumeration not exhaustive"),
+    "c9-claim-fails": (9, "run_all", _after(lambda report: TheoremReport(
+        (ClaimCheck("thm_2_6", "", True, False, "a*a=d"),))),
+        "; ".join(f"{name}: CLAIM thm_2_6 applicable fails a*a=d" for name in acceptance.GOLDEN)),
+    "c10-every-graph": (10, "necessary_conditions",
+                        _after(lambda report: report._replace(connected=False)),
+                        "fig3_2_2_1_2: necessary conditions failed on a semigroup graph"),
+    "c10-remark-graph": (10, "necessary_conditions", lambda real: lambda g: (
+        real(g)._replace(cover_ok=False) if g == acceptance.remark_graph() else real(g)),
+        "the unrealizable end-vertex modification fails the pre-screen"),
+}
+
+
+@pytest.mark.parametrize("number, name, fault, detail", FAULTS.values(), ids=FAULTS)
+def test_each_criterion_reports_a_planted_fault(monkeypatch, number, name, fault, detail):
+    # a criterion that always passed would go unnoticed; the fault goes
+    # where the criterion reads it, and criterion 5's is its pass branch
+    monkeypatch.setattr(acceptance, name, fault(getattr(acceptance, name)))
+    [r] = run_acceptance([number])
+    assert r.passed is (number == 5)
+    assert r.detail.startswith(detail), r.detail

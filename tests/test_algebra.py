@@ -128,6 +128,8 @@ def test_tables_are_immutable(table6):
     assert mutated.mul("y2", "y1") == "b"
     with pytest.raises(AttributeError):
         table6.names = ()
+    with pytest.raises(AttributeError, match="LabeledGraph is immutable"):
+        LabeledGraph(["a"]).vertices = ()
 
 
 def test_construction_errors():
@@ -141,6 +143,8 @@ def test_construction_errors():
         CayleyTable(["0", "a b"], [[0, 0], [0, 0]])
     with pytest.raises(InputError):
         CayleyTable(["0", "a"], [[0, 0]])  # not square
+    with pytest.raises(InputError, match="row 1 has 1 entries, expected 2"):
+        CayleyTable(["0", "a"], [[0, 0], [0]])
     with pytest.raises(InputError):
         CayleyTable(["0", "a"], [[0, 0], [0, 7]])  # out of range
     # the cell named is the bad one, not an equal value before it
@@ -193,6 +197,7 @@ def test_csv_round_trip(table5):
         ("*,0,a\n0,0,0\na,0\n", "fields"),
         ("*,0,a\na,0,a\n0,0,0\n", "row label"),
         ("*,0,a\n0,0,0\na,0,q\n", "unknown element"),
+        ("*,0,a,a\n0,0,0,0\na,0,0,0\na,0,0,0\n", "column 3: duplicate element name 'a'"),
         ("*,0,a,b\n0,0,0,0\na,0,a,a\nb,0,b,b\n", "not symmetric"),
         ("*,0,a\n0,0,a\na,a,a\n", "zero row"),
     ],

@@ -62,16 +62,21 @@ def test_gen_kn2_with_cap_and_end(tmp_path, capsys):
 
 def test_gen_rejects_ignored_flags(tmp_path, capsys):
     table_path = tmp_path / "t.csv"
-    for argv in (
-        ("gen", "fig5", "--m", "1", "--n", "1", "--out-table", str(table_path)),
-        ("gen", "fig5", "--m", "1", "--n", "1", "--at", "x1,x2"),
-        ("gen", "kn2", "--n", "4", "--at", "x1,x2"),
-        ("gen", "kn2", "--n", "4", "--m", "3"),
+    for argv, message in (
+        (("gen", "fig5", "--m", "1", "--n", "1", "--out-table", str(table_path)),
+         "--out-table needs --with-table"),
+        (("gen", "fig5", "--m", "1", "--n", "1", "--at", "x1,x2"), "--at needs kn2 with --caps"),
+        (("gen", "kn2", "--n", "4", "--at", "x1,x2"), "--at needs kn2 with --caps"),
+        (("gen", "kn2", "--n", "4", "--m", "3"), "kn2 does not use parameter m"),
+        (("gen", "kn2", "--n", "4", "--caps", "1", "--at", "x1"),
+         "--at needs two vertex names, e.g. x1,x2"),
+        (("gen", "fig3", "--m", "1", "--n", "1", "--end", "a", "--with-table"),
+         "tables are only constructed for unmodified family graphs"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 3, argv
         assert out == "", argv
-        assert err.startswith("error: "), argv
+        assert err == f"error: {message}\n", argv
     assert not table_path.exists()
 
 
@@ -425,6 +430,9 @@ def test_reproduce_single_criterion(capsys):
     code, _, err = run(capsys, "reproduce", "--only", "11")
     assert code == 3
     assert err == "error: no such criterion: [11]\n"
+    code, _, err = run(capsys, "reproduce", "--only", "x")
+    assert code == 3
+    assert err == "error: --only needs comma-separated criterion numbers\n"
 
 
 def test_readme_library_block_runs():

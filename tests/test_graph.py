@@ -12,6 +12,7 @@ from zdg.algebra import CayleyTable
 from zdg.errors import InputError
 from zdg.families import FamilySpec, add_end, generate_graph, generate_table
 from zdg.graph import (
+    DeltaWitness,
     LabeledGraph,
     c_set,
     classify_special,
@@ -352,15 +353,21 @@ def test_partition_fig5_and_fig4():
     assert part4.b_set == {"u1", "v1", "d"}
     assert part4.l_set == {"w1", "w2"}
     assert not part4.violations
+    # no semigroup graph: L = {z1, z2} holds an edge
+    g = LabeledGraph(["a", "b", "s", "x", "z1", "z2"], [
+        ("a", "b"), ("a", "s"), ("b", "s"), ("a", "x"), ("x", "z1"), ("x", "z2"), ("z1", "z2")])
+    part = partition(g, DeltaWitness("a", "b", "s", "z1"))
+    assert part.l_set == {"z1", "z2"}
+    assert "L is not independent: z1-z2" in part.violations
 
 
 def test_partition_rejects_bad_witness(fig3_graph):
-    from zdg.graph import DeltaWitness
-
     with pytest.raises(InputError):
         partition(fig3_graph, DeltaWitness("a", "b", "x1", "v1"))  # x1 not in C(a,b)
     with pytest.raises(InputError):
         partition(fig3_graph, DeltaWitness("a", "b", "y1", "d"))  # d(y1,d) != 3
+    with pytest.raises(InputError, match="'b' and 'x1' are not adjacent"):
+        partition(fig3_graph, DeltaWitness("b", "x1", "y1", "v1"))
 
 
 def test_necessary_conditions():
@@ -456,6 +463,7 @@ def test_classify_special():
         [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")],
     )
     assert classify_special(k4) == "none"
+    assert classify_special(LabeledGraph(["a"])) == "none"
 
 
 def test_classify_special_tests_connectivity_once(monkeypatch):

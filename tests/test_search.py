@@ -537,6 +537,10 @@ def test_explain_chain():
     out = realize(fig("fig3", m=1, n=1, u=0, v=1), explain=True)
     assert out.chain
     assert any("=" in line for line in out.chain)
+    # a cell set through propagate is named as set from outside
+    st = init_domains(fig("fig3", m=1, n=1, u=0, v=1))
+    assert propagate(st, ("a", "a"), "a")
+    assert "a*a = a  (external)" in st.explain_chain()
 
 
 # --- enumerate ------------------------------------------------------------------------
